@@ -57,6 +57,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// RoundLearningRate returns γ_t = γ0 · Decay^t, the local step size of
+// round t. Decay zero keeps γ0 every round.
+func (c Config) RoundLearningRate(t int) float64 {
+	if c.Decay <= 0 {
+		return c.LearningRate
+	}
+	return c.LearningRate * math.Pow(c.Decay, float64(t))
+}
+
 // Validate checks the configuration against the number of available shards.
 func (c Config) Validate(shards int) error {
 	if c.ClientsPerRound < 1 || c.ClientsPerRound > shards {
@@ -343,14 +352,6 @@ func (e *Engine) SetMemSampling(on bool) { e.sampleMem = on }
 // Shards returns the number of edge servers.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// currentLR returns γ_t = γ0 · decay^t.
-func (e *Engine) currentLR() float64 {
-	if e.cfg.Decay == 0 {
-		return e.cfg.LearningRate
-	}
-	return e.cfg.LearningRate * math.Pow(e.cfg.Decay, float64(e.round))
-}
-
 // localResult carries one client's round output. worker records which pool
 // worker trained the slot — observability only (WorkerClaims); it costs
 // nothing to track, unlike a shared counter, which would have to be heap-
@@ -381,7 +382,7 @@ func (e *Engine) Round() (RoundRecord, error) {
 	}
 
 	selected := e.selector.Select(e.rng, len(e.shards), e.cfg.ClientsPerRound, e.round)
-	lr := e.currentLR()
+	lr := e.cfg.RoundLearningRate(e.round)
 	e.ensureRoundScratch(len(selected))
 	results := e.results[:len(selected)]
 

@@ -24,9 +24,9 @@ func scriptedCoordinator(c net.Conn, clean bool) {
 	}
 	var id uint32
 	if typ == MsgRejoin {
-		id, _, _, _ = decodeRejoin(payload)
+		id, _, _ = decodeRejoin(payload)
 	}
-	if err := writeFrame(c, MsgWelcome, encodeWelcome(id, ProtoV2)); err != nil {
+	if err := writeFrame(c, MsgWelcome, encodeWelcome(id)); err != nil {
 		return
 	}
 	if clean {

@@ -37,11 +37,6 @@ type EdgeConfig struct {
 	DialTimeout time.Duration
 	// Seed drives local mini-batch shuffling and retry jitter.
 	Seed uint64
-	// Protocol pins the wire protocol version this edge advertises
-	// (ProtoV1 or ProtoV2). Zero advertises the newest version; the
-	// coordinator's Welcome carries the negotiated one. Pin ProtoV1 when
-	// talking to a pre-v2 coordinator, which rejects versioned handshakes.
-	Protocol byte
 	// Counters, when non-nil, accumulates frame-level TX/RX byte counts
 	// across every connection this config opens (handshakes included) —
 	// the measured transfer volume the radio energy model prices.
@@ -71,17 +66,16 @@ func (cfg EdgeConfig) dialer() func(string, time.Duration) (net.Conn, error) {
 
 // EdgeServer is a connected, registered edge server.
 type EdgeServer struct {
-	cfg   EdgeConfig
-	conn  net.Conn
-	id    int
-	proto byte
+	cfg  EdgeConfig
+	conn net.Conn
+	id   int
 	// roundsServed counts completed local-training requests.
 	roundsServed int
 
 	// Per-connection scratch for the zero-copy round path. readBuf is the
-	// frame read scratch; base is the reconstructed global model the v2
-	// residual downlink accumulates into (v1 overwrites it whole every
-	// round); work is the model actually trained (a copy of base, so base
+	// frame read scratch; base is the reconstructed global model the
+	// residual downlink accumulates into (full-model requests overwrite it
+	// whole); work is the model actually trained (a copy of base, so base
 	// stays the pristine broadcast residuals apply to); resid is the
 	// dequantized-residual scratch; sgd persists its shuffle scratch.
 	readBuf   []byte
@@ -94,6 +88,7 @@ type EdgeServer struct {
 }
 
 // Dial connects to the coordinator and performs the Join/Welcome handshake.
+// The connection keeps its handshake deadline until Serve clears it.
 func Dial(cfg EdgeConfig) (*EdgeServer, error) {
 	return dialAs(cfg, -1)
 }
@@ -107,14 +102,6 @@ func dialAs(cfg EdgeConfig, rejoinID int) (*EdgeServer, error) {
 	}
 	if err := cfg.Shard.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
-	}
-	advertised := cfg.Protocol
-	switch advertised {
-	case 0:
-		advertised = ProtoV2
-	case ProtoV1, ProtoV2:
-	default:
-		return nil, fmt.Errorf("protocol version %d: %w", advertised, ErrEdge)
 	}
 	timeout := cfg.DialTimeout
 	if timeout <= 0 {
@@ -132,10 +119,10 @@ func dialAs(cfg EdgeConfig, rejoinID int) (*EdgeServer, error) {
 	var regType MsgType
 	if rejoinID < 0 {
 		regType = MsgJoin
-		regBody = encodeJoin(uint32(cfg.Shard.Len()), advertised)
+		regBody = encodeJoin(uint32(cfg.Shard.Len()))
 	} else {
 		regType = MsgRejoin
-		regBody = encodeRejoinProto(uint32(rejoinID), uint32(cfg.Shard.Len()), advertised)
+		regBody = encodeRejoin(uint32(rejoinID), uint32(cfg.Shard.Len()))
 	}
 	if err := writeFrame(conn, regType, regBody); err != nil {
 		conn.Close()
@@ -148,32 +135,23 @@ func dialAs(cfg EdgeConfig, rejoinID int) (*EdgeServer, error) {
 		return nil, fmt.Errorf("welcome: %w", err)
 	}
 	cfg.Counters.AddRx(frameHeaderLen + len(payload))
-	id, proto, err := decodeWelcome(payload)
+	id, err := decodeWelcome(payload)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("welcome body: %w", err)
-	}
-	if proto > advertised {
-		conn.Close()
-		return nil, fmt.Errorf("advertised v%d, coordinator negotiated v%d: %w",
-			advertised, proto, ErrProtocol)
 	}
 	if rejoinID >= 0 && int(id) != rejoinID {
 		conn.Close()
 		return nil, fmt.Errorf("rejoin as %d welcomed as %d: %w", rejoinID, id, ErrProtocol)
 	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("clear deadline: %w", err)
-	}
-	return &EdgeServer{cfg: cfg, conn: conn, id: int(id), proto: proto}, nil
+	// Registration is complete. The handshake deadline is cleared by Serve,
+	// so a connection that dies right after the Welcome is a lost session
+	// (ErrConnLost), not a failed dial.
+	return &EdgeServer{cfg: cfg, conn: conn, id: int(id)}, nil
 }
 
 // ID returns the coordinator-assigned client id.
 func (e *EdgeServer) ID() int { return e.id }
-
-// Protocol returns the negotiated wire protocol version.
-func (e *EdgeServer) Protocol() byte { return e.proto }
 
 // RoundsServed returns how many training requests this server has completed.
 func (e *EdgeServer) RoundsServed() int { return e.roundsServed }
@@ -187,6 +165,10 @@ func (e *EdgeServer) Close() error { return e.conn.Close() }
 // out-of-sync frames — return an error wrapping ErrConnLost so callers can
 // reconnect; cancellation returns the context's error.
 func (e *EdgeServer) Serve(ctx context.Context) error {
+	// Clear the handshake deadline before the ctx watcher can set its own.
+	if err := e.conn.SetDeadline(time.Time{}); err != nil {
+		return fmt.Errorf("clear handshake deadline: %v: %w", err, ErrConnLost)
+	}
 	// Watch ctx in the background: cancelling unblocks the read below.
 	done := make(chan struct{})
 	defer close(done)
@@ -226,21 +208,14 @@ func (e *EdgeServer) Serve(ctx context.Context) error {
 	}
 }
 
-// decodeRequest parses a train request at the connection's negotiated
-// version and reconstructs the broadcast global model into e.base: v1 and
-// v2 full-model requests overwrite it, v2 residual requests apply the
-// quantized delta against the broadcast this connection last acknowledged.
+// decodeRequest parses a train request and reconstructs the broadcast
+// global model into e.base: full-model requests overwrite it, residual
+// requests apply the quantized delta against the broadcast this connection
+// last acknowledged.
 // Wire and state mismatches wrap ErrConnLost: a reconnect resets both ends
 // to a full-model send, which is the repair.
 func (e *EdgeServer) decodeRequest(payload []byte) (TrainRequest, error) {
-	var req TrainRequest
-	var body []byte
-	var err error
-	if e.proto >= ProtoV2 {
-		req, body, err = decodeTrainRequestV2(payload)
-	} else {
-		req, body, err = decodeTrainRequestHeader(payload)
-	}
+	req, body, err := decodeTrainRequest(payload)
 	if err != nil {
 		return TrainRequest{}, fmt.Errorf("train request: %v: %w", err, ErrConnLost)
 	}

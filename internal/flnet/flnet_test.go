@@ -74,18 +74,18 @@ func TestTrainRequestRoundTrip(t *testing.T) {
 	m := ml.NewModel(3, 4, ml.Softmax)
 	m.W.Set(1, 2, 7.5)
 	req := TrainRequest{Round: 9, Epochs: 40, LearningRate: 0.01, Model: m}
-	payload, err := encodeTrainRequest(req)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	back, err := decodeTrainRequest(payload)
+	back, body, err := decodeTrainRequest(appendTrainRequest(nil, req))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if back.Round != 9 || back.Epochs != 40 || back.LearningRate != 0.01 {
 		t.Errorf("header lost: %+v", back)
 	}
-	if back.Model.ParamDistance(m) != 0 {
+	var got ml.Model
+	if err := got.UnmarshalBinary(body); err != nil {
+		t.Fatalf("body: %v", err)
+	}
+	if got.ParamDistance(m) != 0 {
 		t.Error("model lost in transit")
 	}
 }
@@ -111,14 +111,14 @@ func TestTrainReplyRoundTrip(t *testing.T) {
 }
 
 func TestDecodeShortBodies(t *testing.T) {
-	if _, err := decodeTrainRequest([]byte{1, 2}); !errors.Is(err, ErrProtocol) {
+	if _, _, err := decodeTrainRequest([]byte{1, 2}); !errors.Is(err, ErrProtocol) {
 		t.Errorf("short request = %v, want ErrProtocol", err)
 	}
 	if _, err := decodeTrainReply([]byte{1, 2}); !errors.Is(err, ErrProtocol) {
 		t.Errorf("short reply = %v, want ErrProtocol", err)
 	}
-	if _, err := decodeUint32([]byte{1}); !errors.Is(err, ErrProtocol) {
-		t.Errorf("short uint32 = %v, want ErrProtocol", err)
+	if _, err := decodeWelcome([]byte{1}); !errors.Is(err, ErrProtocol) {
+		t.Errorf("short welcome = %v, want ErrProtocol", err)
 	}
 }
 
@@ -369,7 +369,7 @@ func TestEdgeServeContextCancel(t *testing.T) {
 		if _, err := expectFrame(conn, MsgJoin); err != nil {
 			return
 		}
-		if err := writeFrame(conn, MsgWelcome, encodeUint32(0)); err != nil {
+		if err := writeFrame(conn, MsgWelcome, encodeWelcome(0)); err != nil {
 			return
 		}
 		// Hold the connection open silently.

@@ -16,7 +16,7 @@ import (
 
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	_ = writeFrame(&seed, MsgJoin, encodeUint32(3000))
+	_ = writeFrame(&seed, MsgJoin, encodeJoin(3000))
 	f.Add(seed.Bytes())
 	f.Add([]byte{0, 0, 0, 1, byte(MsgShutdown)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0})
@@ -26,32 +26,36 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// FuzzDecodeTrainRequest drives the full-model request path: whatever
+// decodes as a full-model header must carry a body that either decodes to a
+// usable model or errors.
 func FuzzDecodeTrainRequest(f *testing.F) {
 	m := ml.NewModel(2, 3, ml.Softmax)
-	good, err := encodeTrainRequest(TrainRequest{Round: 1, Epochs: 2, LearningRate: 0.1, Model: m})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
+	f.Add(appendTrainRequest(nil, TrainRequest{Round: 1, Epochs: 2, LearningRate: 0.1, Model: m}))
 	f.Add([]byte{})
 	f.Add(make([]byte, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeTrainRequest(data)
-		if err == nil {
+		req, body, err := decodeTrainRequest(data)
+		if err != nil || req.DownBits != 0 {
+			return
+		}
+		var got ml.Model
+		if err := got.UnmarshalBinary(body); err == nil {
 			// A successful decode must yield a usable model.
-			if req.Model == nil || req.Model.Classes() <= 0 || req.Model.Features() <= 0 {
-				t.Fatalf("decode accepted an unusable request: %+v", req)
+			if got.Classes() <= 0 || got.Features() <= 0 {
+				t.Fatalf("decode accepted an unusable request model: %+v", req)
 			}
 		}
 	})
 }
 
+// FuzzDecodeTrainRequestV2 drives the request header invariants across both
+// downlink codecs (full model and quantized residual).
 func FuzzDecodeTrainRequestV2(f *testing.F) {
 	m := ml.NewModel(2, 3, ml.Softmax)
-	full := appendTrainRequestV2Header(nil, TrainRequest{Round: 2, BaseRound: 2, Epochs: 1, LearningRate: 0.1})
-	full = m.AppendBinary(full)
+	full := appendTrainRequest(nil, TrainRequest{Round: 2, Epochs: 1, LearningRate: 0.1, Model: m})
 	f.Add(full)
-	resid := appendTrainRequestV2Header(nil, TrainRequest{Round: 2, BaseRound: 1, DownBits: ml.Quant8, Epochs: 1, LearningRate: 0.1})
+	resid := appendTrainRequestHeader(nil, TrainRequest{Round: 2, BaseRound: 1, DownBits: ml.Quant8, Epochs: 1, LearningRate: 0.1})
 	resid, err := ml.AppendQuantized(resid, m, ml.Quant8)
 	if err != nil {
 		f.Fatal(err)
@@ -60,13 +64,13 @@ func FuzzDecodeTrainRequestV2(f *testing.F) {
 	// Truncated residual: valid header, short quantized body.
 	f.Add(resid[:len(resid)-3])
 	// Header-only, empty, and a reserved-byte violation.
-	f.Add(full[:trainReqV2HeaderLen])
+	f.Add(full[:trainReqHeaderLen])
 	f.Add([]byte{})
 	bad := append([]byte(nil), full...)
 	bad[21] = 0xff
 	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, body, err := decodeTrainRequestV2(data)
+		req, body, err := decodeTrainRequest(data)
 		if err != nil {
 			return
 		}
@@ -136,7 +140,7 @@ func (c *fuzzConn) SetWriteDeadline(t time.Time) error { return nil }
 // never panics, and must leave the roster consistent.
 func FuzzRejoinHandshake(f *testing.F) {
 	var join bytes.Buffer
-	_ = writeFrame(&join, MsgJoin, encodeUint32(50))
+	_ = writeFrame(&join, MsgJoin, encodeJoin(50))
 	f.Add(join.Bytes())
 	var rejoin bytes.Buffer
 	_ = writeFrame(&rejoin, MsgRejoin, encodeRejoin(0, 50))
@@ -152,19 +156,19 @@ func FuzzRejoinHandshake(f *testing.F) {
 	f.Add(wrongType.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 42})
 	f.Add([]byte{})
-	// Versioned (v2) handshakes, plus mismatched version bytes: a versioned
-	// body advertising v1, and a far-future version that must negotiate down.
-	var joinV2 bytes.Buffer
-	_ = writeFrame(&joinV2, MsgJoin, encodeJoin(50, ProtoV2))
-	f.Add(joinV2.Bytes())
-	var rejoinV2 bytes.Buffer
-	_ = writeFrame(&rejoinV2, MsgRejoin, encodeRejoinProto(0, 50, ProtoV2))
-	f.Add(rejoinV2.Bytes())
+	// Handshakes that are not exactly ProtoV2: the retired version-less
+	// 4-byte Join and 8-byte Rejoin bodies, and version bytes 1 and 250.
+	var joinBare bytes.Buffer
+	_ = writeFrame(&joinBare, MsgJoin, []byte{50, 0, 0, 0})
+	f.Add(joinBare.Bytes())
+	var rejoinBare bytes.Buffer
+	_ = writeFrame(&rejoinBare, MsgRejoin, []byte{0, 0, 0, 0, 50, 0, 0, 0})
+	f.Add(rejoinBare.Bytes())
 	var joinBadVer bytes.Buffer
-	_ = writeFrame(&joinBadVer, MsgJoin, []byte{50, 0, 0, 0, ProtoV1})
+	_ = writeFrame(&joinBadVer, MsgJoin, []byte{50, 0, 0, 0, 1})
 	f.Add(joinBadVer.Bytes())
 	var joinFuture bytes.Buffer
-	_ = writeFrame(&joinFuture, MsgJoin, encodeJoin(50, 250))
+	_ = writeFrame(&joinFuture, MsgJoin, []byte{50, 0, 0, 0, 250})
 	f.Add(joinFuture.Bytes())
 	// Oversized length prefix: promises maxFrameBytes+1, must be rejected
 	// deterministically before any allocation of that size.

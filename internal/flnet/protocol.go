@@ -14,16 +14,15 @@
 // The protocol is strictly request/reply per connection, so no concurrent
 // writes occur on a single conn.
 //
-// Two protocol versions share this framing. ProtoV1 is the seed protocol:
-// 4-byte Join/Welcome bodies and a MsgTrainRequest that always carries the
-// full float64 global model. ProtoV2 appends a version byte to the
-// Join/Rejoin/Welcome handshake (a 4-byte Join is implicitly v1, which is
-// the interop fallback) and extends MsgTrainRequest with a downlink codec:
-// the global model may travel as a quantized residual against the last
-// broadcast the client acknowledged, cutting downlink bytes ~64/bits-fold.
-// The hot path on both ends runs over pooled frame buffers: one coalesced
-// write per frame, reads into capacity-tracked scratch, and model bodies
-// encoded/decoded directly in the frame buffer.
+// There is exactly one protocol version, ProtoV2. Every Join, Rejoin and
+// Welcome body ends in a version byte that must equal it; a body of any
+// other length or version is rejected, never downgraded. MsgTrainRequest
+// carries a downlink codec in its header: the global model travels either
+// whole or as a quantized residual against the last broadcast the client
+// acknowledged, cutting downlink bytes ~64/bits-fold. The hot path on both
+// ends runs over pooled frame buffers: one coalesced write per frame, reads
+// into capacity-tracked scratch, and model bodies encoded/decoded directly
+// in the frame buffer.
 package flnet
 
 import (
@@ -42,26 +41,26 @@ type MsgType byte
 
 const (
 	// MsgJoin is sent by an edge server immediately after dialing:
-	// payload = uint32 sample count of its local shard, optionally followed
-	// by one protocol-version byte (absent = ProtoV1).
+	// payload = uint32 sample count of its local shard, then the ProtoV2
+	// version byte (5 bytes).
 	MsgJoin MsgType = iota + 1
-	// MsgWelcome is the coordinator's reply to MsgJoin:
-	// payload = uint32 assigned client id, followed by the negotiated
-	// protocol version byte when the joiner advertised v2 or newer.
+	// MsgWelcome is the coordinator's reply to MsgJoin or MsgRejoin:
+	// payload = uint32 assigned client id, then the ProtoV2 version byte
+	// (5 bytes).
 	MsgWelcome
-	// MsgTrainRequest asks a client to run local training. V1 payload =
-	// uint32 round, uint32 epochs, float64 learning rate, uint32 reply bits,
-	// serialized global model. V2 payload: see trainReqV2HeaderLen.
+	// MsgTrainRequest asks a client to run local training: payload = the
+	// fixed header described at trainReqHeaderLen, then the model body in
+	// the header's downlink codec.
 	MsgTrainRequest
 	// MsgTrainReply returns the locally trained model:
 	// payload = uint32 round, float64 final local loss, uint32 samples,
-	// serialized local model. Identical in v1 and v2.
+	// uint32 bits, model in the bits codec.
 	MsgTrainReply
 	// MsgShutdown tells a client training is over; payload is empty.
 	MsgShutdown
 	// MsgRejoin re-registers a previously welcomed client after a
 	// reconnect: payload = uint32 previously assigned client id, uint32
-	// sample count, optional protocol-version byte (absent = ProtoV1). The
+	// sample count, then the ProtoV2 version byte (9 bytes). The
 	// coordinator replies MsgWelcome echoing the same id and revives the
 	// client's roster slot.
 	MsgRejoin
@@ -87,16 +86,9 @@ func (m MsgType) String() string {
 	}
 }
 
-// Protocol versions carried in the handshake version byte. Negotiation is
-// min(joiner's advertised version, ProtoV2); a version-less 4-byte Join is
-// the v1 fallback, so a v1 edge interoperates with a v2 coordinator
-// unchanged.
-const (
-	// ProtoV1 is the seed protocol: full float64 model downlink every round.
-	ProtoV1 byte = 1
-	// ProtoV2 adds the residual-quantized downlink codec to MsgTrainRequest.
-	ProtoV2 byte = 2
-)
+// ProtoV2 is the wire protocol version every handshake body carries in its
+// final byte. Both ends require it exactly; there is no negotiation.
+const ProtoV2 byte = 2
 
 // ErrProtocol is returned (wrapped) for malformed or unexpected frames.
 var ErrProtocol = errors.New("flnet: protocol error")
@@ -238,9 +230,9 @@ type TrainRequest struct {
 	// width (0 = full-precision float64). Quantized uploads shrink the
 	// radio payload ~64/bits-fold — a direct e^U energy reduction.
 	ReplyBits ml.QuantBits
-	// DownBits records the codec the request's model body travelled in
-	// (v2 only): 0 = full float64 model, Quant8/Quant16 = quantized
-	// residual against the BaseRound broadcast.
+	// DownBits records the codec the request's model body travelled in:
+	// 0 = full float64 model, Quant8/Quant16 = quantized residual against
+	// the BaseRound broadcast.
 	DownBits ml.QuantBits
 	// BaseRound is the round whose broadcast the residual applies to; equal
 	// to Round for full-model requests.
@@ -248,59 +240,7 @@ type TrainRequest struct {
 	Model     *ml.Model
 }
 
-func encodeTrainRequest(req TrainRequest) ([]byte, error) {
-	buf := make([]byte, 0, trainReqV1HeaderLen+req.Model.EncodedSize())
-	return appendTrainRequestV1(buf, req)
-}
-
-// trainReqV1HeaderLen is the fixed v1 request header: round, epochs, lr,
-// reply bits.
-const trainReqV1HeaderLen = 20
-
-// appendTrainRequestV1 appends the seed-protocol request encoding to dst.
-func appendTrainRequestV1(dst []byte, req TrainRequest) ([]byte, error) {
-	var h [trainReqV1HeaderLen]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(req.Round))
-	binary.LittleEndian.PutUint32(h[4:8], uint32(req.Epochs))
-	binary.LittleEndian.PutUint64(h[8:16], math.Float64bits(req.LearningRate))
-	binary.LittleEndian.PutUint32(h[16:20], uint32(req.ReplyBits))
-	dst = append(dst, h[:]...)
-	return req.Model.AppendBinary(dst), nil
-}
-
-// decodeTrainRequestHeader parses the fixed v1 request header, returning the
-// model body unparsed.
-func decodeTrainRequestHeader(payload []byte) (req TrainRequest, body []byte, err error) {
-	if len(payload) < trainReqV1HeaderLen {
-		return TrainRequest{}, nil, fmt.Errorf("train request of %d bytes: %w", len(payload), ErrProtocol)
-	}
-	req.Round = int(binary.LittleEndian.Uint32(payload[0:4]))
-	req.Epochs = int(binary.LittleEndian.Uint32(payload[4:8]))
-	req.LearningRate = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:16]))
-	req.ReplyBits = ml.QuantBits(binary.LittleEndian.Uint32(payload[16:20]))
-	switch req.ReplyBits {
-	case 0, ml.Quant8, ml.Quant16:
-	default:
-		return TrainRequest{}, nil, fmt.Errorf("reply bits %d: %w", req.ReplyBits, ErrProtocol)
-	}
-	req.BaseRound = req.Round
-	return req, payload[trainReqV1HeaderLen:], nil
-}
-
-func decodeTrainRequest(payload []byte) (TrainRequest, error) {
-	req, body, err := decodeTrainRequestHeader(payload)
-	if err != nil {
-		return TrainRequest{}, err
-	}
-	var m ml.Model
-	if err := m.UnmarshalBinary(body); err != nil {
-		return TrainRequest{}, fmt.Errorf("decode request model: %w", err)
-	}
-	req.Model = &m
-	return req, nil
-}
-
-// trainReqV2HeaderLen is the fixed v2 request header:
+// trainReqHeaderLen is the fixed request header:
 //
 //	uint32  round
 //	uint32  epochs
@@ -312,12 +252,12 @@ func decodeTrainRequest(payload []byte) (TrainRequest, error) {
 //	uint32  base round (== round for full-model requests)
 //
 // followed by the model body.
-const trainReqV2HeaderLen = 26
+const trainReqHeaderLen = 26
 
-// appendTrainRequestV2Header appends the v2 header to dst; the caller then
-// appends the model body (ml.Model.AppendBinary or ml.AppendQuantized).
-func appendTrainRequestV2Header(dst []byte, req TrainRequest) []byte {
-	var h [trainReqV2HeaderLen]byte
+// appendTrainRequestHeader appends the request header to dst; the caller
+// then appends the model body (ml.Model.AppendBinary or ml.AppendQuantized).
+func appendTrainRequestHeader(dst []byte, req TrainRequest) []byte {
+	var h [trainReqHeaderLen]byte
 	binary.LittleEndian.PutUint32(h[0:4], uint32(req.Round))
 	binary.LittleEndian.PutUint32(h[4:8], uint32(req.Epochs))
 	binary.LittleEndian.PutUint64(h[8:16], math.Float64bits(req.LearningRate))
@@ -328,12 +268,20 @@ func appendTrainRequestV2Header(dst []byte, req TrainRequest) []byte {
 	return append(dst, h[:]...)
 }
 
-// decodeTrainRequestV2 parses a v2 request header. The returned request's
-// Model is nil; the raw model body (aliasing payload) comes back separately
-// so the edge can decode it into long-lived scratch according to DownBits.
-func decodeTrainRequestV2(payload []byte) (req TrainRequest, body []byte, err error) {
-	if len(payload) < trainReqV2HeaderLen {
-		return TrainRequest{}, nil, fmt.Errorf("v2 train request of %d bytes: %w", len(payload), ErrProtocol)
+// appendTrainRequest appends a full-model request to dst: the header with
+// DownBits 0 and BaseRound = Round, then req.Model in float64.
+func appendTrainRequest(dst []byte, req TrainRequest) []byte {
+	req.DownBits = 0
+	req.BaseRound = req.Round
+	return req.Model.AppendBinary(appendTrainRequestHeader(dst, req))
+}
+
+// decodeTrainRequest parses a request header. The returned request's Model
+// is nil; the raw model body (aliasing payload) comes back separately so the
+// edge can decode it into long-lived scratch according to DownBits.
+func decodeTrainRequest(payload []byte) (req TrainRequest, body []byte, err error) {
+	if len(payload) < trainReqHeaderLen {
+		return TrainRequest{}, nil, fmt.Errorf("train request of %d bytes: %w", len(payload), ErrProtocol)
 	}
 	req.Round = int(binary.LittleEndian.Uint32(payload[0:4]))
 	req.Epochs = int(binary.LittleEndian.Uint32(payload[4:8]))
@@ -363,9 +311,9 @@ func decodeTrainRequestV2(payload []byte) (req TrainRequest, body []byte, err er
 		return TrainRequest{}, nil, fmt.Errorf("residual base round %d > round %d: %w",
 			req.BaseRound, req.Round, ErrProtocol)
 	}
-	body = payload[trainReqV2HeaderLen:]
+	body = payload[trainReqHeaderLen:]
 	if len(body) == 0 {
-		return TrainRequest{}, nil, fmt.Errorf("v2 train request without model body: %w", ErrProtocol)
+		return TrainRequest{}, nil, fmt.Errorf("train request without model body: %w", ErrProtocol)
 	}
 	return req, body, nil
 }
@@ -452,117 +400,59 @@ func decodeTrainReply(payload []byte) (TrainReply, error) {
 	return decodeTrainReplyInto(payload, &m)
 }
 
-func encodeUint32(v uint32) []byte {
-	buf := make([]byte, 4)
-	binary.LittleEndian.PutUint32(buf, v)
-	return buf
+// handshakeBody builds a handshake body: each field as a little-endian
+// uint32, then the ProtoV2 version byte.
+func handshakeBody(fields ...uint32) []byte {
+	buf := make([]byte, 0, 4*len(fields)+1)
+	for _, f := range fields {
+		buf = binary.LittleEndian.AppendUint32(buf, f)
+	}
+	return append(buf, ProtoV2)
 }
 
-func decodeUint32(payload []byte) (uint32, error) {
-	if len(payload) != 4 {
-		return 0, fmt.Errorf("uint32 body of %d bytes: %w", len(payload), ErrProtocol)
+// checkHandshake verifies a handshake body of n uint32 fields: exactly
+// 4n+1 bytes ending in the ProtoV2 version byte.
+func checkHandshake(t MsgType, payload []byte, n int) error {
+	if len(payload) != 4*n+1 {
+		return fmt.Errorf("%v body of %d bytes: %w", t, len(payload), ErrProtocol)
+	}
+	if v := payload[4*n]; v != ProtoV2 {
+		return fmt.Errorf("%v carrying protocol v%d, want v%d: %w", t, v, ProtoV2, ErrProtocol)
+	}
+	return nil
+}
+
+// encodeJoin builds the MsgJoin body: shard sample count + version byte.
+func encodeJoin(samples uint32) []byte { return handshakeBody(samples) }
+
+// decodeJoin parses the MsgJoin body.
+func decodeJoin(payload []byte) (samples uint32, err error) {
+	if err := checkHandshake(MsgJoin, payload, 1); err != nil {
+		return 0, err
 	}
 	return binary.LittleEndian.Uint32(payload), nil
 }
 
-// encodeJoin builds the MsgJoin body: shard sample count, plus the
-// advertised protocol version when it is v2 or newer (a 4-byte body is the
-// v1 fallback the seed coordinator understands).
-func encodeJoin(samples uint32, proto byte) []byte {
-	if proto <= ProtoV1 {
-		return encodeUint32(samples)
+// encodeWelcome builds the MsgWelcome body: assigned client id + version
+// byte.
+func encodeWelcome(id uint32) []byte { return handshakeBody(id) }
+
+// decodeWelcome parses the MsgWelcome body.
+func decodeWelcome(payload []byte) (id uint32, err error) {
+	if err := checkHandshake(MsgWelcome, payload, 1); err != nil {
+		return 0, err
 	}
-	buf := make([]byte, 5)
-	binary.LittleEndian.PutUint32(buf[0:4], samples)
-	buf[4] = proto
-	return buf
+	return binary.LittleEndian.Uint32(payload), nil
 }
 
-// decodeJoin parses the MsgJoin body. A version-less 4-byte body advertises
-// ProtoV1; a 5-byte body must advertise at least ProtoV2 (a v1 client never
-// sends the version byte).
-func decodeJoin(payload []byte) (samples uint32, proto byte, err error) {
-	switch len(payload) {
-	case 4:
-		return binary.LittleEndian.Uint32(payload), ProtoV1, nil
-	case 5:
-		proto = payload[4]
-		if proto < ProtoV2 {
-			return 0, 0, fmt.Errorf("versioned join advertising v%d: %w", proto, ErrProtocol)
-		}
-		return binary.LittleEndian.Uint32(payload[0:4]), proto, nil
-	default:
-		return 0, 0, fmt.Errorf("join body of %d bytes: %w", len(payload), ErrProtocol)
-	}
-}
+// encodeRejoin builds the MsgRejoin body: previously assigned id, sample
+// count, version byte.
+func encodeRejoin(id, samples uint32) []byte { return handshakeBody(id, samples) }
 
-// encodeWelcome builds the MsgWelcome body: the assigned client id, plus the
-// negotiated protocol version byte for v2+ clients (v1 clients receive the
-// seed 4-byte body).
-func encodeWelcome(id uint32, proto byte) []byte {
-	if proto <= ProtoV1 {
-		return encodeUint32(id)
+// decodeRejoin parses the MsgRejoin body.
+func decodeRejoin(payload []byte) (id, samples uint32, err error) {
+	if err := checkHandshake(MsgRejoin, payload, 2); err != nil {
+		return 0, 0, err
 	}
-	buf := make([]byte, 5)
-	binary.LittleEndian.PutUint32(buf[0:4], id)
-	buf[4] = proto
-	return buf
-}
-
-// decodeWelcome parses the MsgWelcome body; a 4-byte body negotiates v1.
-func decodeWelcome(payload []byte) (id uint32, proto byte, err error) {
-	switch len(payload) {
-	case 4:
-		return binary.LittleEndian.Uint32(payload), ProtoV1, nil
-	case 5:
-		proto = payload[4]
-		if proto < ProtoV2 {
-			return 0, 0, fmt.Errorf("versioned welcome negotiating v%d: %w", proto, ErrProtocol)
-		}
-		return binary.LittleEndian.Uint32(payload[0:4]), proto, nil
-	default:
-		return 0, 0, fmt.Errorf("welcome body of %d bytes: %w", len(payload), ErrProtocol)
-	}
-}
-
-// encodeRejoin builds the MsgRejoin body: previously assigned id + samples,
-// plus the advertised protocol version for v2+ clients.
-func encodeRejoin(id, samples uint32) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint32(buf[0:4], id)
-	binary.LittleEndian.PutUint32(buf[4:8], samples)
-	return buf
-}
-
-// encodeRejoinProto is encodeRejoin carrying a protocol version byte.
-func encodeRejoinProto(id, samples uint32, proto byte) []byte {
-	if proto <= ProtoV1 {
-		return encodeRejoin(id, samples)
-	}
-	return append(encodeRejoin(id, samples), proto)
-}
-
-// decodeRejoin parses the MsgRejoin body; an 8-byte body advertises ProtoV1.
-func decodeRejoin(payload []byte) (id, samples uint32, proto byte, err error) {
-	switch len(payload) {
-	case 8:
-		proto = ProtoV1
-	case 9:
-		proto = payload[8]
-		if proto < ProtoV2 {
-			return 0, 0, 0, fmt.Errorf("versioned rejoin advertising v%d: %w", proto, ErrProtocol)
-		}
-	default:
-		return 0, 0, 0, fmt.Errorf("rejoin body of %d bytes: %w", len(payload), ErrProtocol)
-	}
-	return binary.LittleEndian.Uint32(payload[0:4]), binary.LittleEndian.Uint32(payload[4:8]), proto, nil
-}
-
-// negotiate returns the protocol version the coordinator speaks with a
-// client that advertised the given version.
-func negotiate(advertised byte) byte {
-	if advertised > ProtoV2 {
-		return ProtoV2
-	}
-	return advertised
+	return binary.LittleEndian.Uint32(payload[0:4]), binary.LittleEndian.Uint32(payload[4:8]), nil
 }

@@ -15,11 +15,7 @@ import (
 func TestQuantizedRequestRoundTrip(t *testing.T) {
 	m := ml.NewModel(3, 4, ml.Softmax)
 	req := TrainRequest{Round: 1, Epochs: 2, LearningRate: 0.1, ReplyBits: ml.Quant8, Model: m}
-	payload, err := encodeTrainRequest(req)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	back, err := decodeTrainRequest(payload)
+	back, _, err := decodeTrainRequest(appendTrainRequest(nil, req))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -65,12 +61,9 @@ func TestInvalidQuantBitsRejected(t *testing.T) {
 	if _, err := encodeTrainReply(TrainReply{Bits: 12, Model: m}); err == nil {
 		t.Error("bad reply bits must be rejected at encode")
 	}
-	req := TrainRequest{ReplyBits: 12, Model: m}
-	payload, err := encodeTrainRequest(req)
-	if err != nil {
-		t.Fatalf("encode: %v", err) // encode does not validate; decode does
-	}
-	if _, err := decodeTrainRequest(payload); err == nil {
+	// The request encoder does not validate; decode does.
+	payload := appendTrainRequest(nil, TrainRequest{ReplyBits: 12, Model: m})
+	if _, _, err := decodeTrainRequest(payload); err == nil {
 		t.Error("bad request bits must be rejected at decode")
 	}
 }

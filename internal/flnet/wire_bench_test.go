@@ -107,10 +107,7 @@ func BenchmarkEncodeTrainRequest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		payload, err := encodeTrainRequest(req)
-		if err != nil {
-			b.Fatal(err)
-		}
+		payload := appendTrainRequest(make([]byte, 0, trainReqHeaderLen+m.EncodedSize()), req)
 		if len(payload) == 0 {
 			b.Fatal("empty payload")
 		}
@@ -121,14 +118,14 @@ func BenchmarkEncodeTrainRequest(b *testing.B) {
 // subtract the client's last reconstruction from the snapshot, quantize the
 // residual into a pooled frame, dequantize it back for error feedback, and
 // stage the client's next state — everything buildResidualFrame does per
-// selected v2 client per round, against the full-model encode above.
+// selected client per round, against the full-model encode above.
 func BenchmarkEncodeResidual(b *testing.B) {
 	snap := ml.NewModel(10, 64, ml.Softmax)
 	snap.W.Fill(0.25)
 	last := snap.Clone()
 	last.W.Fill(0.249) // small drift, as between consecutive rounds
 	c := &Coordinator{cfg: CoordinatorConfig{Classes: 10, Features: 64}, snap: snap}
-	cl := &clientConn{lastSent: last, proto: ProtoV2}
+	cl := &clientConn{lastSent: last}
 	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}
 	b.ReportAllocs()
 	b.ResetTimer()

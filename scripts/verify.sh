@@ -47,16 +47,16 @@ echo "== sweep golden/resume/bit-identity (race detector, explicit) =="
 go test -race -run 'Sweep|Frontier|ParseScale|ScaleString|TestSplitSamples' ./internal/experiments ./cmd/experiments
 go test -race -run 'SynthesizeParallel|SynthesizePairParallel' ./internal/dataset
 
-echo "== wire protocol v2 interop/residual (race detector, explicit) =="
+echo "== wire protocol v2 golden/residual (race detector, explicit) =="
 # The pooled v2 wire path's contracts pinned under -race even if the full
-# -race sweep above is ever narrowed: lossless v2 bit-identical to the
-# seed protocol at fleet sizes {1,2,4,GOMAXPROCS}, mixed v1/v2 fleets
-# training in one cluster, the error-feedback residual downlink shrinking
-# bytes ≥4× at Quant8 while still converging, rejoin resetting to a full
-# send then resuming residuals, the v2 handshake/header decode error
-# tables, and the 0 allocs/op frame read/write pin. The byte→joules radio
-# pricing rides with the Calibrator section below.
-go test -race -run 'LosslessV2|MixedProtocol|Residual|TrainRequestV2|Handshake|Negotiate|WriteFrameAllocationFree' ./internal/flnet
+# -race sweep above is ever narrowed: the lossless run matching its
+# checked-in golden bit for bit at fleet sizes {1,2,4,8}, the
+# error-feedback residual downlink shrinking bytes ≥4× at Quant8 while
+# still converging, rejoin resetting to a full send then resuming
+# residuals, the exact-version handshake and header decode error tables,
+# and the 0 allocs/op frame read/write pin. The byte→joules radio pricing
+# rides with the Calibrator section below.
+go test -race -run 'LosslessV2|Residual|TrainRequestV2|Handshake|WriteFrameAllocationFree' ./internal/flnet
 go test -race -run 'RadioModel|RadioPricing' ./internal/energy
 
 echo "== datagram transport ARQ/determinism (race detector, explicit) =="
@@ -72,6 +72,13 @@ echo "== datagram transport ARQ/determinism (race detector, explicit) =="
 go test -race ./internal/fldgram
 go test -race -run 'PacketInjector' ./internal/faultnet
 go test -race -run 'Dgram|ChaosQuantized|RetryBackoffDeterministic' ./internal/flnet
+
+echo "== reconnect/dgram stress (race detector, -count) =="
+# A flake in the reconnect lifecycle or the datagram ARQ shows up only
+# across many runs and worker counts: repeat them under -race. The 600
+# runs take about 15 minutes on a 2-vCPU host, past go test's default
+# 10-minute package timeout, hence -timeout.
+go test -race -count=200 -cpu 1,2,8 -timeout 40m -run 'RetryBackoffDeterministic|Dgram' ./internal/flnet
 
 echo "== reassembly fuzzer (smoke) =="
 # A short live-fuzz burst on top of the checked-in corpus (which every plain
