@@ -215,7 +215,10 @@ func run(args []string) error {
 		stop = fl.AnyOf(stop, fl.TargetAccuracy(*target))
 	}
 	start := time.Now()
-	for !stop(coord.History()) {
+	// history holds the records Round returned; stop reads it without the
+	// per-round copy coord.History() makes.
+	var history []fl.RoundRecord
+	for !stop(history) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -227,8 +230,9 @@ func run(args []string) error {
 		}
 		rec, err := coord.Round(ctx)
 		if err != nil {
-			return fmt.Errorf("round %d: %w", len(coord.History()), err)
+			return fmt.Errorf("round %d: %w", len(history), err)
 		}
+		history = append(history, rec)
 		line := fmt.Sprintf("round %3d  selected %v  lr %.4f  local-loss %.4f  test-acc %.4f",
 			rec.Round, rec.Selected, rec.LearningRate, rec.TrainLoss, rec.TestAccuracy)
 		if rec.DownlinkBytes > 0 || rec.UplinkBytes > 0 {
@@ -245,7 +249,6 @@ func run(args []string) error {
 		fmt.Println(line)
 	}
 	coord.Shutdown()
-	history := coord.History()
 	last := history[len(history)-1]
 	fmt.Printf("fedcoord: done after %d rounds in %v; final accuracy %.4f\n",
 		len(history), time.Since(start).Round(time.Millisecond), last.TestAccuracy)

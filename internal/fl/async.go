@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"eefei/internal/dataset"
 	"eefei/internal/mat"
@@ -31,8 +29,8 @@ import (
 // by (virtual time, client id). The order of applied versions — and
 // therefore the global model — is a pure function of the seed, never of the
 // worker-pool size or goroutine scheduling. Local training itself runs on
-// the same bounded-pool / per-slot-scratch / atomic-commit architecture as
-// Engine.Round; see DESIGN.md §7 "Async parity".
+// the same bounded pool and local trainer as Engine.Round (trainPool), with
+// its own atomic commit; see DESIGN.md §7 "Async parity".
 
 // ErrAsync is returned (wrapped) for invalid async configurations.
 var ErrAsync = errors.New("fl: invalid async config")
@@ -133,16 +131,6 @@ func eventBefore(a, b asyncEvent) bool {
 	return a.at < b.at || (a.at == b.at && a.client < b.client)
 }
 
-// asyncSlot carries one in-flight training's bookkeeping. worker records
-// which pool worker trained the slot — observability only (WorkerClaims); it
-// costs nothing to track, unlike a shared counter, which would have to be
-// heap-allocated into the pool closure even on unobserved steps (same
-// claims-tagging pattern as localResult).
-type asyncSlot struct {
-	worker int
-	err    error
-}
-
 // AsyncOption customizes an AsyncEngine.
 type AsyncOption func(*AsyncEngine)
 
@@ -151,7 +139,7 @@ type AsyncOption func(*AsyncEngine)
 // every setting: a client's training stream is derived from
 // (seed, client, version), never from which worker ran it.
 func WithAsyncParallelism(n int) AsyncOption {
-	return func(e *AsyncEngine) { e.parallel = n }
+	return func(e *AsyncEngine) { e.pool.parallel = n }
 }
 
 // WithAsyncEvalParallelism caps the workers used for post-update evaluation
@@ -182,7 +170,6 @@ type AsyncEngine struct {
 	test         *dataset.Dataset
 	roundObs     RoundObserver
 	sampleMem    bool
-	parallel     int
 	evalParallel int
 
 	// Virtual-time scheduler state. events is a min-heap over (at, client);
@@ -196,15 +183,10 @@ type AsyncEngine struct {
 
 	// Training scratch. locals holds each client's dispatch-time snapshot
 	// (trained in place — indexed by client, the async analogue of the sync
-	// engine's per-selection-slot models); dispatchV the version it was
-	// dispatched at; pending the dispatched-but-untrained clients flushed
-	// through the bounded pool at the start of every Step; sgds the
-	// per-worker optimizers; slots the per-client worker/error tags.
-	locals    []*ml.Model
-	dispatchV []int
-	pending   []int
-	sgds      []*ml.SGD
-	slots     []asyncSlot
+	// engine's per-selection-slot models); pool queues the
+	// dispatched-but-untrained clients, flushed at the start of every Step.
+	locals []*ml.Model
+	pool   trainPool
 
 	// Commit and evaluation scratch: the mix is formed and evaluated in
 	// mixScratch and only then copied into global.
@@ -221,25 +203,13 @@ func NewAsyncEngine(cfg AsyncConfig, shards []*dataset.Dataset, test *dataset.Da
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("no shards: %w", ErrAsync)
-	}
-	dim, classes := shards[0].Dim(), shards[0].Classes
-	for i, s := range shards {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if s.Dim() != dim || s.Classes != classes {
-			return nil, fmt.Errorf("shard %d shape mismatch: %w", i, ErrAsync)
-		}
+	dim, classes, total, err := checkShards(shards, ErrAsync)
+	if err != nil {
+		return nil, err
 	}
 	act := cfg.Activation
 	if act == 0 {
 		act = ml.Softmax
-	}
-	total := 0
-	for _, s := range shards {
-		total += s.Len()
 	}
 	e := &AsyncEngine{
 		cfg:          cfg,
@@ -247,14 +217,26 @@ func NewAsyncEngine(cfg AsyncConfig, shards []*dataset.Dataset, test *dataset.Da
 		totalSamples: total,
 		global:       ml.NewModel(classes, dim, act),
 		test:         test,
-		parallel:     runtime.GOMAXPROCS(0),
 		evalParallel: runtime.GOMAXPROCS(0),
+		// The pool trains on the same γ schedule and (seed, client, step)
+		// streams as the synchronous engine, stepping by dispatch version.
+		pool: trainPool{
+			cfg: Config{
+				LocalEpochs:  cfg.LocalEpochs,
+				LearningRate: cfg.LearningRate,
+				Decay:        cfg.Decay,
+				Seed:         cfg.Seed,
+			},
+			shards:   shards,
+			parallel: runtime.GOMAXPROCS(0),
+			jobs:     make([]trainJob, 0, len(shards)),
+		},
 	}
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.parallel <= 0 {
-		e.parallel = runtime.GOMAXPROCS(0)
+	if e.pool.parallel <= 0 {
+		e.pool.parallel = runtime.GOMAXPROCS(0)
 	}
 	if e.evalParallel <= 0 {
 		e.evalParallel = runtime.GOMAXPROCS(0)
@@ -264,9 +246,6 @@ func NewAsyncEngine(cfg AsyncConfig, shards []*dataset.Dataset, test *dataset.Da
 	for c := range e.locals {
 		e.locals[c] = ml.NewModel(classes, dim, act)
 	}
-	e.dispatchV = make([]int, n)
-	e.pending = make([]int, 0, n)
-	e.slots = make([]asyncSlot, n)
 	e.events = make([]asyncEvent, 0, n)
 	e.mixScratch = ml.NewModel(classes, dim, act)
 	e.shardLoss.init(n)
@@ -311,16 +290,16 @@ func (e *AsyncEngine) SetMemSampling(on bool) { e.sampleMem = on }
 
 // dispatch hands client c the current global model: snapshot it into the
 // client's local model, draw the task's virtual duration from the client's
-// seeded stream, and schedule the completion. The client joins the pending
-// list; its training runs on the worker pool at the start of the next Step.
+// seeded stream, and schedule the completion. The client's training joins
+// the pool queue and runs at the start of the next Step, at the learning
+// rate and seed of the version it was dispatched at.
 func (e *AsyncEngine) dispatch(c int) error {
 	if err := e.locals[c].CopyFrom(e.global); err != nil {
 		return fmt.Errorf("dispatch client %d: %w", c, err)
 	}
-	e.dispatchV[c] = e.version
 	dur := e.speed[c] * (0.5 + e.durRNG[c].Float64())
 	e.pushEvent(asyncEvent{at: e.now + dur, client: c, version: e.version})
-	e.pending = append(e.pending, c)
+	e.pool.add(c, e.version, e.locals[c])
 	return nil
 }
 
@@ -363,99 +342,21 @@ func (e *AsyncEngine) popEvent() asyncEvent {
 	return top
 }
 
-// trainLocal runs worker w's optimizer for E epochs over client c's shard,
-// training the dispatch-time snapshot in place. The optimizer is reseeded
-// from (seed, client, version) on every assignment, so the trajectory is
-// identical whichever worker runs it and for any pool size; the learning
-// rate decays against the global version the task was dispatched at.
-func (e *AsyncEngine) trainLocal(w, c int) asyncSlot {
-	v := e.dispatchV[c]
-	lr := e.cfg.LearningRate
-	if e.cfg.Decay > 0 {
-		lr *= math.Pow(e.cfg.Decay, float64(v))
-	}
-	cfg := ml.SGDConfig{
-		LearningRate: lr,
-		Seed:         e.cfg.Seed ^ uint64(c)<<32 ^ uint64(v),
-	}
-	var err error
-	if e.sgds[w] == nil {
-		e.sgds[w], err = ml.NewSGD(cfg)
-	} else {
-		err = e.sgds[w].Reset(cfg)
-	}
-	if err != nil {
-		return asyncSlot{worker: w, err: err}
-	}
-	if _, err := e.sgds[w].TrainFinal(e.locals[c], e.shards[c], e.cfg.LocalEpochs); err != nil {
-		return asyncSlot{worker: w, err: err}
-	}
-	return asyncSlot{worker: w}
-}
-
-// flush trains every pending dispatch on the bounded worker pool. Workers
-// claim pending slots off a shared atomic cursor; which worker trains which
-// client is scheduling-dependent but harmless (see trainLocal). In steady
+// flush trains every pending dispatch on the pool and returns its fan-out
+// and per-worker claims (0 and nil when nothing was pending). In steady
 // state exactly one client is pending (the re-dispatch of the previous
 // step's completion), so the flush runs inline and spawns nothing; the
-// initial dispatch of the whole fleet — and any future batched dispatch —
-// fans out across the pool.
-func (e *AsyncEngine) flush(observed bool) (workers int, claims []int, err error) {
-	n := len(e.pending)
-	if n == 0 {
+// initial dispatch of the whole fleet fans out across the pool.
+func (e *AsyncEngine) flush() (int, []int, error) {
+	if len(e.pool.jobs) == 0 {
 		return 0, nil, nil
 	}
-	workers = e.parallel
-	if workers > n {
-		workers = n
+	claims, err := e.pool.run()
+	e.pool.reset()
+	if err != nil {
+		return 0, nil, fmt.Errorf("async %w", err)
 	}
-	for len(e.sgds) < workers {
-		e.sgds = append(e.sgds, nil)
-	}
-	if workers <= 1 {
-		workers = 1
-		for _, c := range e.pending {
-			e.slots[c] = e.trainLocal(0, c)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					c := e.pending[i]
-					e.slots[c] = e.trainLocal(w, c)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	// claims[w] counts the pending slots worker w trained — the pool
-	// occupancy an observer sees. Built after the pool from the per-slot
-	// worker tags so nothing observer-related is captured by (and therefore
-	// heap-allocated into) the worker closure on unobserved steps.
-	if observed {
-		claims = make([]int, workers)
-		for _, c := range e.pending {
-			if e.slots[c].err == nil {
-				claims[e.slots[c].worker]++
-			}
-		}
-	}
-	for _, c := range e.pending {
-		if e.slots[c].err != nil {
-			err = fmt.Errorf("async client %d: %w", c, e.slots[c].err)
-			break
-		}
-	}
-	e.pending = e.pending[:0]
-	return workers, claims, err
+	return len(claims), claims, nil
 }
 
 // Step processes one virtual-time completion: flush any pending local
@@ -470,9 +371,9 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 	// Observability is pay-for-use: with no observer attached the step
 	// takes no timestamps and allocates nothing extra.
 	obs := e.roundObs
-	var pc PhaseClock
+	var pc phaseClock
 	if obs != nil {
-		pc = NewPhaseClock(e.sampleMem)
+		pc = newPhaseClock(e.sampleMem)
 	}
 	// First step: every client starts training at version 0, time 0.
 	if !e.started {
@@ -485,12 +386,12 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 	}
 	// Train phase: flush the pending dispatches. Every popped completion
 	// was dispatched in an earlier Step, so its snapshot is trained by now.
-	workers, claims, err := e.flush(obs != nil)
+	workers, claims, err := e.flush()
 	if err != nil {
 		return AsyncUpdate{}, err
 	}
 	if obs != nil {
-		pc.Lap(PhaseTrain)
+		pc.lap(PhaseTrain)
 	}
 
 	// Select phase: pop the earliest completion in virtual time.
@@ -505,7 +406,7 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 		TestAccuracy: math.NaN(),
 	}
 	if obs != nil {
-		pc.Lap(PhaseSelect)
+		pc.lap(PhaseSelect)
 	}
 
 	if e.cfg.MaxStaleness > 0 && staleness > e.cfg.MaxStaleness {
@@ -518,7 +419,7 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 		}
 		e.history = append(e.history, upd)
 		if obs != nil {
-			st := pc.Finish(len(e.history) - 1)
+			st := pc.finish(len(e.history) - 1)
 			st.Workers = workers
 			st.WorkerClaims = claims
 			st.Dropped = 1
@@ -538,7 +439,7 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 		return AsyncUpdate{}, fmt.Errorf("async mix: %w", err)
 	}
 	if obs != nil {
-		pc.Lap(PhaseAggregate)
+		pc.lap(PhaseAggregate)
 	}
 
 	// Evaluate phase, still against the scratch model.
@@ -555,7 +456,7 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 		upd.TestAccuracy = acc
 	}
 	if obs != nil {
-		pc.Lap(PhaseEvaluate)
+		pc.lap(PhaseEvaluate)
 	}
 
 	// Commit model, version, history, and the client's re-dispatch together.
@@ -571,7 +472,7 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 	}
 	e.history = append(e.history, upd)
 	if obs != nil {
-		st := pc.Finish(len(e.history) - 1)
+		st := pc.finish(len(e.history) - 1)
 		st.Workers = workers
 		st.WorkerClaims = claims
 		obs.ObserveRound(st)

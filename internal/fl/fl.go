@@ -1,9 +1,9 @@
 // Package fl implements the in-process federated-learning substrate the
 // paper's FEI system runs: FedAvg coordination (Section III-A) across edge
-// servers holding disjoint shards, with configurable client selection, local
+// servers holding disjoint shards, with uniform client selection, local
 // epoch counts E, per-round learning-rate decay, parallel local training,
 // and stop conditions on rounds / loss / accuracy. The networked counterpart
-// lives in package flnet; both share this package's aggregation logic.
+// lives in package flnet; both run this package's round.
 package fl
 
 import (
@@ -12,7 +12,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"eefei/internal/dataset"
 	"eefei/internal/mat"
@@ -89,38 +88,6 @@ func (c Config) Validate(shards int) error {
 	return nil
 }
 
-// Selector chooses which clients participate in a round.
-type Selector interface {
-	// Select returns K distinct client indices out of n for round t.
-	Select(rng *mat.RNG, n, k, round int) []int
-}
-
-// RandomSelector draws K clients uniformly without replacement each round —
-// the paper's "randomly selected subset K_t ⊆ K".
-type RandomSelector struct{}
-
-var _ Selector = RandomSelector{}
-
-// Select implements Selector.
-func (RandomSelector) Select(rng *mat.RNG, n, k, _ int) []int {
-	return rng.Sample(n, k)
-}
-
-// RoundRobinSelector cycles deterministically through clients, useful for
-// reproducing traces where participation order matters.
-type RoundRobinSelector struct{}
-
-var _ Selector = RoundRobinSelector{}
-
-// Select implements Selector.
-func (RoundRobinSelector) Select(_ *mat.RNG, n, k, round int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = (round*k + i) % n
-	}
-	return out
-}
-
 // RoundRecord captures one global coordination round.
 type RoundRecord struct {
 	// Round is the zero-based round index t.
@@ -178,50 +145,48 @@ type RoundRecord struct {
 	UplinkDeliveredBytes   int64
 }
 
-// Observer is notified after every completed round; the energy simulator
-// hooks in here.
-type Observer func(RoundRecord)
-
-// Engine runs FedAvg over in-memory shards.
+// Engine runs the paper's synchronous FedAvg round (see RoundWith). An
+// engine built by NewEngine trains in-memory shards on a bounded worker
+// pool; one built by NewDispatchEngine has no shards of its own and is
+// driven by a caller that dispatches local training elsewhere — package
+// flnet's Coordinator, over the wire.
 //
-// The per-round hot path is allocation-free after the first round: local
-// training runs on a bounded worker pool whose per-slot scratch models and
-// per-worker optimizers (each owning its gradient accumulator, batched-
-// forward chunk scratch, shuffle buffer, and RNG stream) are reused round
-// over round, the
-// aggregate lands in a scratch model that is committed only when the whole
-// round — including evaluation — succeeds, and global loss / test accuracy
-// are computed by a shard-parallel map-reduce over per-worker evaluators.
-// See DESIGN.md §7 for the scratch-ownership rules.
+// The in-process hot path is allocation-free after the first round: local
+// training reuses per-slot scratch models and the pool's per-worker
+// optimizers (each owning its gradient accumulator, batched-forward chunk
+// scratch, shuffle buffer, and RNG stream), the aggregate lands in a scratch
+// model that is committed only when the whole round — including evaluation —
+// succeeds, and global loss / test accuracy are computed by a shard-parallel
+// map-reduce over per-worker evaluators. See DESIGN.md §7 for the
+// scratch-ownership rules.
 type Engine struct {
 	cfg          Config
-	shards       []*dataset.Dataset
-	totalSamples int
 	global       *ml.Model
 	test         *dataset.Dataset
-	selector     Selector
-	agg          Aggregator
-	observer     Observer
-	roundObs     RoundObserver
-	sampleMem    bool
 	rng          *mat.RNG
-	parallel     int
 	evalParallel int
-	round        int
-	history      []RoundRecord
+	testEval     *ml.Evaluator
+	aggScratch   *ml.Model
 
-	// Round-loop scratch, all reused across rounds. localModels is indexed
-	// by selection slot (each slot's result must survive until aggregation),
-	// sgds by pool worker (a worker trains its claimed slots sequentially).
-	localModels []*ml.Model
-	sgds        []*ml.SGD
-	results     []localResult
-	updates     []Update
-	aggScratch  *ml.Model
-	// Evaluation scratch: the shard-parallel loss map-reduce (shared with
-	// AsyncEngine) and a chunk-parallel evaluator for the test set.
-	shardLoss shardLossMap
-	testEval  *ml.Evaluator
+	// mu is held while a round reads its observer and while it commits, so
+	// readers on other goroutines (the Coordinator's Global and History)
+	// see model, round counter and history advance together.
+	mu        sync.Locker
+	roundObs  RoundObserver
+	sampleMem bool
+	round     int
+	history   []RoundRecord
+
+	// In-process training (NewEngine only). clients lists every shard as a
+	// selection candidate; localModels holds one scratch model per selection
+	// slot, each slot's result surviving until aggregation.
+	shards       []*dataset.Dataset
+	totalSamples int
+	clients      []int
+	pool         trainPool
+	localModels  []*ml.Model
+	updates      []Update
+	shardLoss    shardLossMap
 }
 
 // Option customizes an Engine.
@@ -233,21 +198,6 @@ func WithTestSet(test *dataset.Dataset) Option {
 	return func(e *Engine) { e.test = test }
 }
 
-// WithSelector replaces the default RandomSelector.
-func WithSelector(s Selector) Option {
-	return func(e *Engine) { e.selector = s }
-}
-
-// WithAggregator replaces the default MeanAggregator (paper Eq. 2).
-func WithAggregator(a Aggregator) Option {
-	return func(e *Engine) { e.agg = a }
-}
-
-// WithObserver registers a per-round callback.
-func WithObserver(o Observer) Option {
-	return func(e *Engine) { e.observer = o }
-}
-
 // WithRoundObserver attaches a per-round observability sink (phase timings,
 // throughput, pool occupancy — see RoundStats). Nil detaches; with no
 // observer the round loop takes no timestamps at all.
@@ -255,19 +205,12 @@ func WithRoundObserver(o RoundObserver) Option {
 	return func(e *Engine) { e.roundObs = o }
 }
 
-// WithMemSampling opts the engine into sampling runtime.ReadMemStats around
-// every observed round, filling RoundStats.Mallocs/AllocBytes. It has no
-// effect without a RoundObserver.
-func WithMemSampling() Option {
-	return func(e *Engine) { e.sampleMem = true }
-}
-
 // WithParallelism caps concurrent local-training workers; 1 forces
 // sequential execution, 0 selects GOMAXPROCS. Results are bit-identical for
 // every setting: a client's training stream is derived from (seed, client,
 // round), never from which worker ran it.
 func WithParallelism(n int) Option {
-	return func(e *Engine) { e.parallel = n }
+	return func(e *Engine) { e.pool.parallel = n }
 }
 
 // WithEvalParallelism caps the workers used for post-aggregation evaluation
@@ -282,53 +225,62 @@ func WithEvalParallelism(n int) Option {
 // NewEngine validates the config and builds an engine over the given shards.
 // All shards must agree on dimensionality and class count.
 func NewEngine(cfg Config, shards []*dataset.Dataset, opts ...Option) (*Engine, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("no shards: %w", ErrConfig)
+	dim, classes, total, err := checkShards(shards, ErrConfig)
+	if err != nil {
+		return nil, err
 	}
 	if err := cfg.Validate(len(shards)); err != nil {
 		return nil, err
 	}
-	dim, classes := shards[0].Dim(), shards[0].Classes
-	for i, s := range shards {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if s.Dim() != dim || s.Classes != classes {
-			return nil, fmt.Errorf("shard %d shape %d/%d differs from shard 0 %d/%d: %w",
-				i, s.Dim(), s.Classes, dim, classes, ErrConfig)
-		}
-	}
-	act := cfg.Activation
-	if act == 0 {
-		act = ml.Softmax
-	}
-	total := 0
-	for _, s := range shards {
-		total += s.Len()
-	}
-	e := &Engine{
-		cfg:          cfg,
-		shards:       shards,
-		totalSamples: total,
-		global:       ml.NewModel(classes, dim, act),
-		selector:     RandomSelector{},
-		agg:          MeanAggregator{},
-		rng:          mat.NewRNG(cfg.Seed),
-		parallel:     runtime.GOMAXPROCS(0),
-		evalParallel: runtime.GOMAXPROCS(0),
-	}
+	e := newEngine(cfg, classes, dim, nil, &sync.Mutex{})
+	e.shards, e.totalSamples = shards, total
+	e.pool = trainPool{cfg: cfg, shards: shards, ref: e.global, parallel: runtime.GOMAXPROCS(0)}
+	e.evalParallel = runtime.GOMAXPROCS(0)
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.parallel <= 0 {
-		e.parallel = runtime.GOMAXPROCS(0)
+	if e.pool.parallel <= 0 {
+		e.pool.parallel = runtime.GOMAXPROCS(0)
 	}
 	if e.evalParallel <= 0 {
 		e.evalParallel = runtime.GOMAXPROCS(0)
 	}
-	e.aggScratch = ml.NewModel(classes, dim, act)
+	e.clients = make([]int, len(shards))
+	for i := range e.clients {
+		e.clients[i] = i
+	}
 	e.shardLoss.init(len(shards))
 	return e, nil
+}
+
+// NewDispatchEngine builds an engine with no shards of its own, for a caller
+// that dispatches each round's local training itself through RoundWith.
+// The config is validated as for NewEngine, except that K is checked
+// against the candidates of each round rather than a shard count. The
+// global model is classes×features; test may be nil and is evaluated
+// sequentially. mu is held around every commit and observer read, so the
+// caller can read Global and History on other goroutines under the same
+// lock.
+func NewDispatchEngine(cfg Config, classes, features int, test *dataset.Dataset, mu sync.Locker) (*Engine, error) {
+	if err := cfg.Validate(cfg.ClientsPerRound); err != nil {
+		return nil, err
+	}
+	return newEngine(cfg, classes, features, test, mu), nil
+}
+
+func newEngine(cfg Config, classes, features int, test *dataset.Dataset, mu sync.Locker) *Engine {
+	act := cfg.Activation
+	if act == 0 {
+		act = ml.Softmax
+	}
+	return &Engine{
+		cfg:        cfg,
+		global:     ml.NewModel(classes, features, act),
+		aggScratch: ml.NewModel(classes, features, act),
+		test:       test,
+		rng:        mat.NewRNG(cfg.Seed),
+		mu:         mu,
+	}
 }
 
 // Global returns the current global model (live reference; callers must not
@@ -343,239 +295,69 @@ func (e *Engine) History() []RoundRecord { return e.history }
 
 // SetRoundObserver attaches (or, with nil, detaches) the per-round
 // observability sink after construction — cmd/feisim uses this to wire its
-// -trace flag through the simulator. Must not be called while Round runs.
-func (e *Engine) SetRoundObserver(o RoundObserver) { e.roundObs = o }
+// -trace flag through the simulator. A round in flight keeps the observer
+// it started with.
+func (e *Engine) SetRoundObserver(o RoundObserver) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.roundObs = o
+}
 
-// SetMemSampling toggles per-round memstats sampling (see WithMemSampling).
-func (e *Engine) SetMemSampling(on bool) { e.sampleMem = on }
+// SetMemSampling toggles sampling runtime.ReadMemStats around every
+// observed round, filling RoundStats.Mallocs/AllocBytes. It has no effect
+// without a RoundObserver.
+func (e *Engine) SetMemSampling(on bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sampleMem = on
+}
 
 // Shards returns the number of edge servers.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// localResult carries one client's round output. worker records which pool
-// worker trained the slot — observability only (WorkerClaims); it costs
-// nothing to track, unlike a shared counter, which would have to be heap-
-// allocated into the pool closure even on unobserved rounds.
-type localResult struct {
-	client int
-	worker int
-	model  *ml.Model
-	loss   float64
-	err    error
-}
-
-// Round performs one full FedAvg round: select K_t, broadcast ω_t, train E
-// local epochs on each selected shard, aggregate per Eq. (2), evaluate.
-//
-// The round commits atomically: the aggregate is formed in a scratch model
-// and evaluated there, and only if every stage succeeds are the global
-// model, round counter, and history advanced together. A failed round
-// leaves the engine exactly as it was, so callers can retry or abort
-// without inheriting a half-advanced state.
+// Round performs one full FedAvg round over the in-memory shards: select
+// K_t, broadcast ω_t, train E local epochs on each selected shard on the
+// worker pool, aggregate per Eq. (2), and report the shard-parallel global
+// loss F(ω_{t+1}) as TrainLoss. Every selected client must deliver. The
+// round commits atomically (see RoundWith).
 func (e *Engine) Round() (RoundRecord, error) {
-	// Observability is pay-for-use: with no observer attached the round
-	// takes no timestamps and allocates nothing extra.
-	obs := e.roundObs
-	var pc PhaseClock
-	if obs != nil {
-		pc = NewPhaseClock(e.sampleMem)
-	}
-
-	selected := e.selector.Select(e.rng, len(e.shards), e.cfg.ClientsPerRound, e.round)
-	lr := e.cfg.RoundLearningRate(e.round)
-	e.ensureRoundScratch(len(selected))
-	results := e.results[:len(selected)]
-
-	// Bounded worker pool: each of up to e.parallel workers owns one SGD
-	// (and thereby its gradient/probability/shuffle buffers and RNG object)
-	// and claims selection slots off a shared cursor. Which worker trains
-	// which client is scheduling-dependent, but harmless: a client's
-	// training stream is reseeded from (seed, client, round) on every
-	// assignment, so the trajectory is identical for any pool size.
-	workers := e.parallel
-	if workers > len(selected) {
-		workers = len(selected)
-	}
-	if obs != nil {
-		pc.Lap(PhaseSelect)
-	}
-	if workers <= 1 {
-		for i, c := range selected {
-			results[i] = e.trainLocal(0, i, c, lr)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(selected) {
-						return
-					}
-					results[i] = e.trainLocal(w, i, selected[i], lr)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	// claims[w] counts the selection slots worker w trained — the pool
-	// occupancy an observer sees. Built after the pool from the per-slot
-	// worker tags so nothing observer-related is captured by (and therefore
-	// heap-allocated into) the worker closure on unobserved rounds.
-	var claims []int
-	if obs != nil {
-		claims = make([]int, workers)
-		for i := range results {
-			if results[i].err == nil {
-				claims[results[i].worker]++
-			}
-		}
-	}
-
-	for _, r := range results {
-		if r.err != nil {
-			return RoundRecord{}, fmt.Errorf("round %d client %d: %w", e.round, r.client, r.err)
-		}
-	}
-	if obs != nil {
-		pc.Lap(PhaseTrain)
-	}
-
-	// Aggregate (default: ω_{t+1} = (1/K) Σ ω_{k,t}, paper Eq. 2) into the
-	// scratch model; the engine's state is untouched until the commit below.
-	updates := e.updates[:len(results)]
-	for i, r := range results {
-		updates[i] = Update{Client: r.client, Model: r.model, Samples: e.shards[r.client].Len()}
-	}
-	if err := e.agg.Aggregate(e.aggScratch, updates); err != nil {
-		return RoundRecord{}, fmt.Errorf("round %d: %w", e.round, err)
-	}
-	if obs != nil {
-		pc.Lap(PhaseAggregate)
-	}
-
-	rec := RoundRecord{
-		Round:        e.round,
-		Selected:     selected,
-		LearningRate: lr,
-		TestAccuracy: math.NaN(),
-		LocalLosses:  make([]float64, len(results)),
-	}
-	for i, r := range results {
-		rec.LocalLosses[i] = r.loss
-	}
-
-	loss, err := e.globalLossOf(e.aggScratch)
-	if err != nil {
-		return RoundRecord{}, fmt.Errorf("round %d global loss: %w", e.round, err)
-	}
-	rec.TrainLoss = loss
-
-	if e.test != nil {
-		if e.testEval == nil {
-			e.testEval = ml.NewEvaluator(e.evalParallel)
-		}
-		acc, err := e.testEval.Accuracy(e.aggScratch, e.test)
-		if err != nil {
-			return RoundRecord{}, fmt.Errorf("round %d accuracy: %w", e.round, err)
-		}
-		rec.TestAccuracy = acc
-	}
-	if obs != nil {
-		pc.Lap(PhaseEvaluate)
-	}
-
-	// Commit model, round counter, and history together.
-	if err := e.global.CopyFrom(e.aggScratch); err != nil {
-		return RoundRecord{}, fmt.Errorf("round %d commit: %w", e.round, err)
-	}
-	e.round++
-	e.history = append(e.history, rec)
-	if e.observer != nil {
-		e.observer(rec)
-	}
-	if obs != nil {
-		st := pc.Finish(rec.Round)
-		st.Workers = workers
-		st.WorkerClaims = claims
-		obs.ObserveRound(st)
-	}
-	return rec, nil
+	return e.RoundWith(e.clients, 0, e.trainShards, e.globalLossOf)
 }
 
-// ensureRoundScratch sizes the per-slot and per-worker reusable buffers for
-// a round over k selected clients.
-func (e *Engine) ensureRoundScratch(k int) {
-	for len(e.localModels) < k {
+// trainShards is the in-process dispatch: each selected shard trains on the
+// pool from a fresh copy of the global model in its slot's scratch model.
+func (e *Engine) trainShards(rec RoundRecord) (RoundRecord, []Update, []int, error) {
+	for len(e.localModels) < len(rec.Selected) {
 		e.localModels = append(e.localModels, ml.NewModel(e.global.Classes(), e.global.Features(), e.global.Act))
 	}
-	workers := e.parallel
-	if workers > k {
-		workers = k
+	e.pool.reset()
+	for slot, c := range rec.Selected {
+		if err := e.localModels[slot].CopyFrom(e.global); err != nil {
+			return rec, nil, nil, fmt.Errorf("client %d: %w", c, err)
+		}
+		e.pool.add(c, rec.Round, e.localModels[slot])
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	for len(e.sgds) < workers {
-		e.sgds = append(e.sgds, nil)
-	}
-	if cap(e.results) < k {
-		e.results = make([]localResult, k)
-		e.updates = make([]Update, k)
-	}
-	e.results = e.results[:cap(e.results)]
-	e.updates = e.updates[:cap(e.updates)]
-}
-
-// trainLocal copies the global model into slot scratch and runs E epochs of
-// worker w's optimizer on one client's shard.
-func (e *Engine) trainLocal(w, slot, client int, lr float64) localResult {
-	local := e.localModels[slot]
-	if err := local.CopyFrom(e.global); err != nil {
-		return localResult{client: client, worker: w, err: err}
-	}
-	cfg := ml.SGDConfig{
-		LearningRate: lr,
-		BatchSize:    e.cfg.BatchSize,
-		ProximalMu:   e.cfg.ProximalMu,
-		// Mini-batch order must not depend on goroutine scheduling or pool
-		// size: derive the seed from (run seed, client, round).
-		Seed: e.cfg.Seed ^ uint64(client)<<32 ^ uint64(e.round),
-	}
-	var err error
-	if e.sgds[w] == nil {
-		e.sgds[w], err = ml.NewSGD(cfg)
-	} else {
-		err = e.sgds[w].Reset(cfg)
-	}
+	claims, err := e.pool.run()
 	if err != nil {
-		return localResult{client: client, worker: w, err: err}
+		return rec, nil, claims, err
 	}
-	sgd := e.sgds[w]
-	if e.cfg.ProximalMu > 0 {
-		// The FedProx anchor is this round's immutable global snapshot.
-		sgd.SetProximalRef(e.global)
+	e.updates = e.updates[:0]
+	for _, j := range e.pool.jobs {
+		e.updates = append(e.updates, Update{Client: j.client, Model: j.model, Loss: j.loss})
 	}
-	loss, err := sgd.TrainFinal(local, e.shards[client], e.cfg.LocalEpochs)
-	if err != nil {
-		return localResult{client: client, worker: w, err: err}
-	}
-	return localResult{client: client, worker: w, model: local, loss: loss}
+	return rec, e.updates, claims, nil
 }
 
 // GlobalLoss evaluates the global objective F(ω) = Σ_k (n_k/n)·F_k(ω) over
 // all shards.
 func (e *Engine) GlobalLoss() (float64, error) {
-	return e.globalLossOf(e.global)
+	return e.globalLossOf(e.global, nil)
 }
 
 // globalLossOf runs the shard-parallel map-reduce for F(ω) over up to
 // evalParallel workers; see shardLossMap for the bit-identity and spawn-gate
-// contracts.
-func (e *Engine) globalLossOf(m *ml.Model) (float64, error) {
+// contracts. Round reports it as TrainLoss.
+func (e *Engine) globalLossOf(m *ml.Model, _ []Update) (float64, error) {
 	return e.shardLoss.lossOf(m, e.shards, e.totalSamples, e.evalParallel)
 }
 

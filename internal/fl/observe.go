@@ -32,19 +32,22 @@ import (
 type Phase uint8
 
 const (
-	// PhaseSelect covers client selection plus per-round scratch sizing
-	// (async: the virtual-time event-queue pop; networked: roster snapshot,
-	// selection, and request encoding).
+	// PhaseSelect covers drawing K_t and γ_t (async: the virtual-time
+	// event-queue pop).
 	PhaseSelect Phase = iota
-	// PhaseTrain covers local training across the worker pool (async: the
-	// flush of pending dispatches; networked: the request/reply exchange
-	// with every selected edge, including in-round rejoin repair).
+	// PhaseTrain covers the round's local-training dispatch: in process,
+	// the slot copies of the global model and the worker pool; networked,
+	// request encoding, the request/reply exchange with every selected edge
+	// including in-round rejoin repair, the downlink-state commit and
+	// failure marking; async, the flush of pending dispatches.
 	PhaseTrain
-	// PhaseAggregate covers building the update set and the aggregation
-	// proper (paper Eq. 2; async: the staleness-discounted mix — skipped,
-	// along with evaluate, on staleness-dropped steps).
+	// PhaseAggregate covers the aggregation proper (paper Eq. 2; async: the
+	// staleness-discounted mix — skipped, along with evaluate, on
+	// staleness-dropped steps).
 	PhaseAggregate
-	// PhaseEvaluate covers post-aggregation global loss and test accuracy.
+	// PhaseEvaluate covers TrainLoss (in process: the global loss over
+	// every shard; networked: the mean of the replies' local losses) and
+	// test accuracy.
 	PhaseEvaluate
 )
 
@@ -63,7 +66,9 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// RoundStats is the observability record of one completed round. Durations
+// RoundStats is the observability record of one completed round. The round
+// core fills it in one place for both synchronous engines, mirroring the
+// record's fault and byte telemetry. Durations
 // serialize as integer nanoseconds (the _ns JSONL fields in DESIGN.md §7).
 // Total is measured from round start to commit, so it also includes the
 // commit/bookkeeping remainder: Total >= Select+Train+Aggregate+Evaluate.
@@ -84,7 +89,7 @@ type RoundStats struct {
 	RoundsPerSec float64 `json:"rounds_per_sec"`
 	// Workers is the training fan-out actually used (pool size after the
 	// K cap; async: pool size of the step's pending-dispatch flush, 0 when
-	// nothing was pending; networked: number of selected clients exchanged
+	// nothing was pending; networked: K, the selected clients exchanged
 	// with).
 	Workers int `json:"workers"`
 	// WorkerClaims is per-pool-worker occupancy: how many training slots
@@ -259,11 +264,11 @@ func ReadTrace(r io.Reader) ([]RoundStats, error) {
 	return stats, nil
 }
 
-// PhaseClock accumulates the per-phase wall-clock of one in-flight round.
-// The engines in this package and the networked coordinator in flnet keep
-// one on the stack and only start it when an observer is attached, so the
-// nil-observer path performs no clock or memstats reads.
-type PhaseClock struct {
+// phaseClock accumulates the per-phase wall-clock of one in-flight round.
+// The round core and AsyncEngine.Step keep one on the stack and only start
+// it when an observer is attached, so the nil-observer path performs no
+// clock or memstats reads.
+type phaseClock struct {
 	sampleMem      bool
 	start, mark    time.Time
 	sel, train     time.Duration
@@ -271,11 +276,11 @@ type PhaseClock struct {
 	mallocs0, buf0 uint64
 }
 
-// NewPhaseClock starts the round clock, optionally snapshotting memstats.
+// newPhaseClock starts the round clock, optionally snapshotting memstats.
 // runtime.ReadMemStats briefly stops the world, which is why allocation
 // sampling is opt-in even with an observer attached.
-func NewPhaseClock(sampleMem bool) PhaseClock {
-	pc := PhaseClock{sampleMem: sampleMem}
+func newPhaseClock(sampleMem bool) phaseClock {
+	pc := phaseClock{sampleMem: sampleMem}
 	if sampleMem {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -286,8 +291,8 @@ func NewPhaseClock(sampleMem bool) PhaseClock {
 	return pc
 }
 
-// Lap closes the current phase as p and opens the next one.
-func (pc *PhaseClock) Lap(p Phase) {
+// lap closes the current phase as p and opens the next one.
+func (pc *phaseClock) lap(p Phase) {
 	now := time.Now()
 	d := now.Sub(pc.mark)
 	pc.mark = now
@@ -303,8 +308,8 @@ func (pc *PhaseClock) Lap(p Phase) {
 	}
 }
 
-// Finish stops the clock and assembles the stats record for round.
-func (pc *PhaseClock) Finish(round int) RoundStats {
+// finish stops the clock and assembles the stats record for round.
+func (pc *phaseClock) finish(round int) RoundStats {
 	total := time.Since(pc.start)
 	s := RoundStats{
 		Round:     round,

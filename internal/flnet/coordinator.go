@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 
 	"eefei/internal/dataset"
 	"eefei/internal/fl"
-	"eefei/internal/mat"
 	"eefei/internal/ml"
 )
 
@@ -73,10 +71,12 @@ type clientConn struct {
 	// connected marks a slot with a live connection; disconnected slots
 	// are skipped by selection until they rejoin.
 	connected bool
-	// gen counts (re-)registrations of this slot. Round snapshots it so a
-	// failure observed on a stale connection cannot mark a freshly
-	// rejoined client disconnected.
-	gen int
+	// gen counts (re-)registrations of this slot. Round snapshots it into
+	// candGen when it lists the slot as a selection candidate, so neither a
+	// request nor a failure observed on a stale connection can touch a
+	// freshly rejoined client.
+	gen     int
+	candGen int
 	// lastSent is the global model exactly as this client's connection
 	// last reconstructed it (error feedback: quantized residuals are
 	// dequantized back, so lastSent carries the client's rounding, not the
@@ -94,50 +94,44 @@ type clientConn struct {
 	repModel *ml.Model
 }
 
-// Coordinator is the networked FedAvg coordinator: it owns the global model,
-// accepts edge-server registrations (and re-registrations, at any point of
-// the run), and drives synchronous rounds that tolerate mid-round client
-// failures.
+// Coordinator is the networked FedAvg coordinator: it accepts edge-server
+// registrations (and re-registrations, at any point of the run) and drives
+// synchronous rounds that tolerate mid-round client failures. The round
+// itself — selection, quorum, Eq. (2) mean, evaluation, commit and
+// observer — is package fl's (fl.Engine.RoundWith); the coordinator is its
+// wire dispatcher.
 type Coordinator struct {
-	cfg      CoordinatorConfig
-	ln       net.Listener
-	global   *ml.Model
-	test     *dataset.Dataset
-	testEval *ml.Evaluator // owns the batched-forward scratch reused across rounds
-	rng      *mat.RNG
+	cfg CoordinatorConfig
+	ln  net.Listener
+	// eng owns the global model, round counter and history, and commits
+	// them under mu.
+	eng *fl.Engine
 
-	// Round-scratch models, reused across rounds so warm rounds stay off
-	// the allocator: snap holds the round's global snapshot, spare is the
-	// aggregation target (swapped with global at commit), resid and recon
-	// build the residual downlink and its error-feedback reconstruction.
-	// All are touched only by the single active Round call.
-	snap  *ml.Model
-	spare *ml.Model
-	resid *ml.Model
-	recon *ml.Model
+	// Dispatch scratch, reused across rounds so warm rounds stay off the
+	// allocator and touched only by the single active Round call: resid
+	// and recon build the residual downlink and its error-feedback
+	// reconstruction; updates is the survivors' replies.
+	resid   *ml.Model
+	recon   *ml.Model
+	updates []fl.Update
 
 	mu        sync.Mutex
 	clients   []*clientConn
-	round     int
-	history   []fl.RoundRecord
-	rejoins   int // re-registrations since the last completed round
+	rejoins   int // re-registrations not yet reported by a completed round
 	accepting bool
 	down      bool
-	roundObs  fl.RoundObserver
-	sampleMem bool
-
-	// updates is Round's reused aggregation input, one entry per survivor.
-	updates []fl.Update
 }
 
 // NewCoordinator wraps an already-open listener. The caller keeps ownership
-// of the listener's lifetime; Close shuts down both.
+// of the listener's lifetime; Close shuts down both. cfg.FL is validated by
+// fl.Config.Validate's rules, except that K is checked against the fleet by
+// WaitForClients; MinReplies must lie in [0, K].
 func NewCoordinator(cfg CoordinatorConfig, ln net.Listener, test *dataset.Dataset) (*Coordinator, error) {
 	if cfg.Classes <= 0 || cfg.Features <= 0 {
 		return nil, fmt.Errorf("model shape %dx%d: %w", cfg.Classes, cfg.Features, ErrCoordinator)
 	}
-	if cfg.FL.LocalEpochs < 1 || cfg.FL.ClientsPerRound < 1 || cfg.FL.LearningRate <= 0 {
-		return nil, fmt.Errorf("fl config %+v: %w", cfg.FL, ErrCoordinator)
+	if cfg.MinReplies < 0 || cfg.MinReplies > cfg.FL.ClientsPerRound {
+		return nil, fmt.Errorf("min replies %d with K=%d: %w", cfg.MinReplies, cfg.FL.ClientsPerRound, ErrCoordinator)
 	}
 	switch cfg.UploadQuantBits {
 	case 0, ml.Quant8, ml.Quant16:
@@ -155,18 +149,14 @@ func NewCoordinator(cfg CoordinatorConfig, ln net.Listener, test *dataset.Datase
 	if cfg.JoinTimeout <= 0 {
 		cfg.JoinTimeout = time.Minute
 	}
-	act := cfg.FL.Activation
-	if act == 0 {
-		act = ml.Softmax
+	c := &Coordinator{cfg: cfg, ln: ln}
+	// The engine validates cfg.FL.
+	eng, err := fl.NewDispatchEngine(cfg.FL, cfg.Classes, cfg.Features, test, &c.mu)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", err, ErrCoordinator)
 	}
-	return &Coordinator{
-		cfg:      cfg,
-		ln:       ln,
-		global:   ml.NewModel(cfg.Classes, cfg.Features, act),
-		test:     test,
-		testEval: ml.NewEvaluator(1),
-		rng:      mat.NewRNG(cfg.FL.Seed),
-	}, nil
+	c.eng = eng
+	return c, nil
 }
 
 // Addr returns the listener address (useful with ":0" test listeners).
@@ -178,7 +168,7 @@ func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
 func (c *Coordinator) Global() *ml.Model {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.global.Clone()
+	return c.eng.Global().Clone()
 }
 
 // History returns a copy of the completed round records.
@@ -193,7 +183,7 @@ func (c *Coordinator) History() []fl.RoundRecord {
 func (c *Coordinator) records() []fl.RoundRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.history
+	return c.eng.History()
 }
 
 // SetRoundObserver attaches (or, with nil, detaches) a per-round
@@ -202,18 +192,10 @@ func (c *Coordinator) records() []fl.RoundRecord {
 // both network legs), and fill the Dropped/Rejoins/Retries fault telemetry.
 // Safe to call between rounds; a round in flight keeps the observer it
 // started with.
-func (c *Coordinator) SetRoundObserver(o fl.RoundObserver) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.roundObs = o
-}
+func (c *Coordinator) SetRoundObserver(o fl.RoundObserver) { c.eng.SetRoundObserver(o) }
 
 // SetMemSampling toggles per-round memstats sampling for observed rounds.
-func (c *Coordinator) SetMemSampling(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sampleMem = on
-}
+func (c *Coordinator) SetMemSampling(on bool) { c.eng.SetMemSampling(on) }
 
 // Connected returns how many roster slots currently hold a live connection.
 func (c *Coordinator) Connected() int {
@@ -441,16 +423,16 @@ func buildFullFrame(req TrainRequest) (*[]byte, []byte, error) {
 	return bp, frame, nil
 }
 
-// buildResidualFrame seals a pooled request frame carrying the global
-// snapshot as a quantized residual against cl.lastSent, and stages the
+// buildResidualFrame seals a pooled request frame carrying the global model
+// req.Model as a quantized residual against cl.lastSent, and stages the
 // client's exact post-apply reconstruction in cl.pending (error feedback:
 // the next residual is computed against what the client actually holds,
 // rounding included, so quantization error cannot accumulate). Called with
 // the coordinator mutex held.
 func (c *Coordinator) buildResidualFrame(cl *clientConn, req TrainRequest, bits ml.QuantBits) (*[]byte, []byte, error) {
 	if c.resid == nil {
-		c.resid = c.snap.Clone()
-	} else if err := c.resid.CopyFrom(c.snap); err != nil {
+		c.resid = req.Model.Clone()
+	} else if err := c.resid.CopyFrom(req.Model); err != nil {
 		return nil, nil, err
 	}
 	if err := c.resid.AddScaled(-1, cl.lastSent); err != nil {
@@ -492,68 +474,79 @@ func (c *Coordinator) buildResidualFrame(cl *clientConn, req TrainRequest, bits 
 	return bp, frame, nil
 }
 
-// Round runs one synchronous FedAvg round over the network. With MinReplies
-// set, clients that fail mid-round are dropped from the round (and marked
-// disconnected until they rejoin) while the aggregation proceeds over the
-// quorum of survivors; the round record lists the casualties.
+// Round runs one synchronous FedAvg round over the network: package fl's
+// round core draws K_t from the connected roster slots and dispatch
+// exchanges the round's request and reply with each selected client. With
+// MinReplies set, clients that fail mid-round are dropped from the round
+// while the aggregation proceeds over the quorum of survivors; the round
+// record lists the casualties. Every failed client is marked disconnected
+// until it rejoins, whether or not the round commits.
 func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
+	c.mu.Lock()
+	alive := make([]int, 0, len(c.clients))
+	for _, cl := range c.clients {
+		if cl.connected {
+			cl.candGen = cl.gen
+			alive = append(alive, cl.id)
+		}
+	}
+	c.mu.Unlock()
+	rec, err := c.eng.RoundWith(alive, c.cfg.MinReplies,
+		func(rec fl.RoundRecord) (fl.RoundRecord, []fl.Update, []int, error) {
+			return c.dispatch(ctx, rec)
+		}, meanLocalLoss)
+	if err != nil {
+		return fl.RoundRecord{}, fmt.Errorf("%w: %w", err, ErrCoordinator)
+	}
+	c.mu.Lock()
+	c.rejoins -= rec.Rejoins
+	c.mu.Unlock()
+	return rec, nil
+}
+
+// meanLocalLoss is the coordinator's TrainLoss: without the raw shards it
+// reports the mean of the replies' final local losses.
+func meanLocalLoss(_ *ml.Model, updates []fl.Update) (float64, error) {
+	var sum float64
+	for _, u := range updates {
+		sum += u.Loss
+	}
+	return sum / float64(len(updates)), nil
+}
+
+// dispatch is the round core's wire dispatcher. It sends this round's
+// request to every selected client — a quantized residual where the
+// client's downlink state allows, else the full model — and collects the
+// replies concurrently, re-sending the full model on a fresh connection when
+// a failed client rejoins within RejoinGrace. It then commits the downlink
+// state of every delivered request, marks every failed connection
+// disconnected, and returns the survivors' updates in selection order, the
+// record with the round's fault and byte telemetry, and the first failure.
+func (c *Coordinator) dispatch(ctx context.Context, rec fl.RoundRecord) (fl.RoundRecord, []fl.Update, []int, error) {
 	type target struct {
-		id       int
-		gen      int
+		id  int
+		gen int
+		// conn is nil when the slot re-registered after Round listed it:
+		// the connection it was selected on is gone.
 		conn     net.Conn
 		cl       *clientConn
 		frame    []byte // sealed request frame (shared between full-model targets)
 		residual bool   // frame carries a quantized residual
 	}
-	c.mu.Lock()
-	obs := c.roundObs
-	var pc fl.PhaseClock
-	if obs != nil {
-		pc = fl.NewPhaseClock(c.sampleMem)
-	}
-	alive := make([]int, 0, len(c.clients))
-	for _, cl := range c.clients {
-		if cl.connected {
-			alive = append(alive, cl.id)
-		}
-	}
-	k := c.cfg.FL.ClientsPerRound
-	round := c.round
-	lr := c.cfg.FL.RoundLearningRate(round)
-	var targets []target
-	if k <= len(alive) {
-		for _, idx := range c.rng.Sample(len(alive), k) {
-			cl := c.clients[alive[idx]]
-			targets = append(targets, target{id: cl.id, gen: cl.gen, conn: cl.conn, cl: cl})
-		}
-	}
-	if targets == nil {
-		nAlive := len(alive)
-		c.mu.Unlock()
-		return fl.RoundRecord{}, fmt.Errorf("K=%d of %d alive clients: %w", k, nAlive, ErrCoordinator)
-	}
-
-	// Snapshot the global into reusable scratch; the round works off the
-	// snapshot so registrations racing the round see a consistent model.
-	if c.snap == nil {
-		c.snap = c.global.Clone()
-	} else if err := c.snap.CopyFrom(c.global); err != nil {
-		c.mu.Unlock()
-		return fl.RoundRecord{}, fmt.Errorf("round %d snapshot: %w", round, err)
-	}
-
-	// Build the request frames while still holding the mutex: residuals
-	// read (and stage) per-client downlink state. Full-model targets share
-	// one sealed frame; residual targets get their own. All pooled buffers
-	// are released when the round returns.
+	round := rec.Round
 	req := TrainRequest{
 		Round:        round,
 		Epochs:       c.cfg.FL.LocalEpochs,
-		LearningRate: lr,
+		LearningRate: rec.LearningRate,
 		ReplyBits:    c.cfg.UploadQuantBits,
 		BaseRound:    round,
-		Model:        c.snap,
+		Model:        c.eng.Global(),
 	}
+
+	// Build the request frames under the mutex: residuals read (and stage)
+	// per-client downlink state. Full-model targets share one sealed frame;
+	// residual targets get their own. All pooled buffers are released when
+	// dispatch returns.
 	var frames []*[]byte
 	defer func() {
 		for _, bp := range frames {
@@ -562,13 +555,24 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 	}()
 	var full []byte
 	downBits := c.cfg.DownloadQuantBits
-	for i := range targets {
+	targets := make([]target, len(rec.Selected))
+	c.mu.Lock()
+	if len(c.clients) == 0 {
+		c.mu.Unlock()
+		return rec, nil, nil, fmt.Errorf("round %d: coordinator shut down", round)
+	}
+	for i, id := range rec.Selected {
+		cl := c.clients[id]
 		tg := &targets[i]
-		if downBits != 0 && tg.cl.lastSent != nil {
-			bp, frame, err := c.buildResidualFrame(tg.cl, req, downBits)
+		*tg = target{id: id, gen: cl.candGen, cl: cl}
+		if cl.gen == cl.candGen {
+			tg.conn = cl.conn
+		}
+		if downBits != 0 && cl.lastSent != nil {
+			bp, frame, err := c.buildResidualFrame(cl, req, downBits)
 			if err != nil {
 				c.mu.Unlock()
-				return fl.RoundRecord{}, fmt.Errorf("round %d residual for client %d: %w", round, tg.id, err)
+				return rec, nil, nil, fmt.Errorf("round %d residual for client %d: %w", round, id, err)
 			}
 			frames = append(frames, bp)
 			tg.frame, tg.residual = frame, true
@@ -578,7 +582,7 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 			bp, frame, err := buildFullFrame(req)
 			if err != nil {
 				c.mu.Unlock()
-				return fl.RoundRecord{}, fmt.Errorf("round %d request: %w", round, err)
+				return rec, nil, nil, fmt.Errorf("round %d request: %w", round, err)
 			}
 			frames = append(frames, bp)
 			full = frame
@@ -587,25 +591,18 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 	}
 	c.mu.Unlock()
 
-	if obs != nil {
-		pc.Lap(fl.PhaseSelect)
-	}
-
 	type outcome struct {
-		slot    int
 		rep     TrainReply
 		retries int
 		err     error
+		// gen is the registration generation of the last connection used,
+		// so failure marking cannot clobber a connection it never touched;
 		// residual describes the frame of the last delivery attempt, which
 		// is what the downlink-state commit must mirror.
+		gen      int
 		residual bool
 	}
 	results := make([]outcome, len(targets))
-	// finalGen[slot] is the registration generation of the last connection
-	// each goroutine actually used, so post-round failure marking cannot
-	// clobber a connection it never touched. Each index is written only by
-	// its own goroutine before wg.Wait.
-	finalGen := make([]int, len(targets))
 	// Downlink (coordinator→client) and uplink (client→coordinator) frame
 	// bytes actually exchanged this round — the measured volume the radio
 	// energy model prices.
@@ -620,6 +617,9 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 		deadline = d
 	}
 	exchange := func(conn net.Conn, id int, frame []byte, cl *clientConn) (TrainReply, error) {
+		if conn == nil {
+			return TrainReply{}, fmt.Errorf("client %d re-registered before its request: %w", id, ErrConnLost)
+		}
 		if m, metered := conn.(dgramMetered); metered {
 			// Delta the conn's lifetime counters around this exchange —
 			// success or failure, the attempted bytes were spent.
@@ -661,9 +661,8 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 		wg.Add(1)
 		go func(slot int, tg target) {
 			defer wg.Done()
-			o := outcome{slot: slot, residual: tg.residual}
-			conn, gen := tg.conn, tg.gen
-			frame := tg.frame
+			o := outcome{gen: tg.gen, residual: tg.residual}
+			conn, frame := tg.conn, tg.frame
 			var retryBp *[]byte
 			defer func() {
 				if retryBp != nil {
@@ -679,12 +678,12 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 				// In-round repair: if the client re-registers within the
 				// grace window, re-send this round's request on its fresh
 				// connection instead of dropping it.
-				nc, ng, ok := c.awaitRejoin(tg.id, gen, deadline)
+				nc, ng, ok := c.awaitRejoin(tg.id, o.gen, deadline)
 				if !ok {
 					o.err = err
 					break
 				}
-				conn, gen = nc, ng
+				conn, o.gen = nc, ng
 				o.retries++
 				// The fresh connection lost all downlink state: re-send as a
 				// full model.
@@ -700,178 +699,67 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 					break
 				}
 			}
-			finalGen[slot] = gen
 			results[slot] = o
 		}(slot, tg)
 	}
 	wg.Wait()
 
-	// Commit per-client downlink state for every delivered request — before
-	// quorum filtering, because delivery is a property of the wire, not of
-	// the round's outcome: an edge that received this broadcast holds it as
-	// its base whether or not the round later reaches quorum. The gen check
-	// skips slots that re-registered after the delivery (register already
-	// reset their state to full-send).
+	// Commit per-client downlink state for every delivered request, whether
+	// or not the round later reaches quorum: delivery is a property of the
+	// wire, and an edge that received this broadcast holds it as its base.
+	// Then mark every failed connection down. The gen checks skip slots
+	// that re-registered meanwhile (register already reset their state to
+	// full-send, and their fresh connection is not the one that failed).
 	c.mu.Lock()
 	for slot, tg := range targets {
-		o := results[slot]
-		if o.err != nil || tg.id >= len(c.clients) {
-			continue
+		o := &results[slot]
+		if tg.id >= len(c.clients) {
+			continue // roster was torn down by Shutdown
 		}
 		cl := c.clients[tg.id]
-		if cl.gen != finalGen[slot] {
+		if cl.gen != o.gen {
 			continue
 		}
-		if o.residual {
-			// The staged reconstruction becomes the client's state; the
-			// old state buffer is recycled as the next staging area.
-			cl.lastSent, cl.pending = cl.pending, cl.lastSent
-		} else if cl.lastSent == nil {
-			cl.lastSent = c.snap.Clone()
-		} else if err := cl.lastSent.CopyFrom(c.snap); err != nil {
-			c.mu.Unlock()
-			return fl.RoundRecord{}, fmt.Errorf("round %d downlink state: %w", round, err)
-		}
-		cl.lastRound = round
-	}
-	c.mu.Unlock()
-
-	// Fault tolerance: with MinReplies set, drop failed clients from the
-	// round and continue on the survivors; otherwise any failure aborts.
-	var ok []outcome
-	var dropped []int // slot indices
-	for slot, r := range results {
-		if r.err != nil {
-			if c.cfg.MinReplies <= 0 {
-				return fl.RoundRecord{}, fmt.Errorf("round %d: %w", round, r.err)
+		if o.err == nil {
+			if o.residual {
+				// The staged reconstruction becomes the client's state; the
+				// old state buffer is recycled as the next staging area.
+				cl.lastSent, cl.pending = cl.pending, cl.lastSent
+			} else if cl.lastSent == nil {
+				cl.lastSent = req.Model.Clone()
+			} else if err := cl.lastSent.CopyFrom(req.Model); err != nil {
+				o.err = fmt.Errorf("client %d downlink state: %w", tg.id, err)
 			}
-			dropped = append(dropped, slot)
-			continue
+			cl.lastRound = round
 		}
-		ok = append(ok, r)
-	}
-	if len(ok) == 0 || (c.cfg.MinReplies > 0 && len(ok) < c.cfg.MinReplies) {
-		return fl.RoundRecord{}, fmt.Errorf("round %d: %d of %d replies (need %d): %w",
-			round, len(ok), len(targets), c.cfg.MinReplies, ErrCoordinator)
-	}
-	if len(dropped) > 0 {
-		c.mu.Lock()
-		for _, slot := range dropped {
-			id := targets[slot].id
-			if id >= len(c.clients) {
-				continue // roster was torn down by Shutdown
-			}
-			cl := c.clients[id]
-			if cl.gen == finalGen[slot] {
-				// Still the connection we failed on: mark it down. A
-				// bumped gen means the client already rejoined — leave
-				// the fresh connection alone.
-				cl.connected = false
-				cl.conn.Close()
-			}
+		if o.err != nil {
+			cl.connected = false
+			cl.conn.Close()
 		}
-		c.mu.Unlock()
 	}
-	if obs != nil {
-		pc.Lap(fl.PhaseTrain)
-	}
-
-	// Aggregate per Eq. (2) over the survivors, into the spare model that
-	// ping-pongs with the global at commit.
-	if c.spare == nil {
-		c.spare = ml.NewModel(c.cfg.Classes, c.cfg.Features, c.snap.Act)
-	} else {
-		c.spare.Act = c.snap.Act
-	}
-	agg := c.spare
-	c.updates = c.updates[:0]
-	for _, r := range ok {
-		c.updates = append(c.updates, fl.Update{
-			Client: targets[r.slot].id, Model: r.rep.Model, Samples: r.rep.Samples,
-		})
-	}
-	if err := (fl.MeanAggregator{}).Aggregate(agg, c.updates); err != nil {
-		return fl.RoundRecord{}, fmt.Errorf("round %d aggregate: %w", round, err)
-	}
-	if obs != nil {
-		pc.Lap(fl.PhaseAggregate)
-	}
-
-	survivors := make([]int, len(ok))
-	for i, r := range ok {
-		survivors[i] = targets[r.slot].id
-	}
-	rec := fl.RoundRecord{
-		Round:         round,
-		Selected:      survivors,
-		LearningRate:  lr,
-		TestAccuracy:  math.NaN(),
-		LocalLosses:   make([]float64, len(ok)),
-		DownlinkBytes: txBytes.Load(),
-		UplinkBytes:   rxBytes.Load(),
-
-		DownlinkAttemptBytes:   downAttempt.Load(),
-		DownlinkDeliveredBytes: downDelivered.Load(),
-		UplinkAttemptBytes:     upAttempt.Load(),
-		UplinkDeliveredBytes:   upDelivered.Load(),
-	}
-	for _, slot := range dropped {
-		rec.Dropped = append(rec.Dropped, targets[slot].id)
-	}
-	for _, r := range ok {
-		rec.Retries += r.retries
-	}
-	for _, slot := range dropped {
-		rec.Retries += results[slot].retries
-	}
-	var lossSum float64
-	for i, r := range ok {
-		rec.LocalLosses[i] = r.rep.Loss
-		lossSum += r.rep.Loss
-	}
-	// Without the raw shards, the coordinator reports the mean of the
-	// clients' final local losses as its training-loss proxy.
-	rec.TrainLoss = lossSum / float64(len(ok))
-	if c.test != nil {
-		// The evaluator reuses its chunk scratch round over round, keeping
-		// warm rounds allocation-free where ml.Accuracy would allocate a
-		// predictions slice and logits block per call. Bit-identical: hit
-		// counts are integers, reduced in chunk order.
-		acc, err := c.testEval.Accuracy(agg, c.test)
-		if err != nil {
-			return fl.RoundRecord{}, fmt.Errorf("round %d accuracy: %w", round, err)
-		}
-		rec.TestAccuracy = acc
-	}
-	if obs != nil {
-		pc.Lap(fl.PhaseEvaluate)
-	}
-
-	c.mu.Lock()
 	rec.Rejoins = c.rejoins
-	c.rejoins = 0
-	// Ping-pong: the aggregated spare becomes the global; the old global's
-	// storage becomes next round's aggregation target.
-	c.spare = c.global
-	c.global = agg
-	c.round++
-	c.history = append(c.history, rec)
 	c.mu.Unlock()
-	if obs != nil {
-		st := pc.Finish(rec.Round)
-		st.Workers = len(targets)
-		st.Dropped = len(rec.Dropped)
-		st.Rejoins = rec.Rejoins
-		st.Retries = rec.Retries
-		st.DownlinkBytes = rec.DownlinkBytes
-		st.UplinkBytes = rec.UplinkBytes
-		st.DownlinkAttemptBytes = rec.DownlinkAttemptBytes
-		st.DownlinkDeliveredBytes = rec.DownlinkDeliveredBytes
-		st.UplinkAttemptBytes = rec.UplinkAttemptBytes
-		st.UplinkDeliveredBytes = rec.UplinkDeliveredBytes
-		obs.ObserveRound(st)
+
+	var firstErr error
+	c.updates = c.updates[:0]
+	for slot, o := range results {
+		rec.Retries += o.retries
+		if o.err != nil {
+			rec.Dropped = append(rec.Dropped, targets[slot].id)
+			if firstErr == nil {
+				firstErr = o.err
+			}
+			continue
+		}
+		c.updates = append(c.updates, fl.Update{Client: targets[slot].id, Model: o.rep.Model, Loss: o.rep.Loss})
 	}
-	return rec, nil
+	rec.DownlinkBytes = txBytes.Load()
+	rec.UplinkBytes = rxBytes.Load()
+	rec.DownlinkAttemptBytes = downAttempt.Load()
+	rec.DownlinkDeliveredBytes = downDelivered.Load()
+	rec.UplinkAttemptBytes = upAttempt.Load()
+	rec.UplinkDeliveredBytes = upDelivered.Load()
+	return rec, c.updates, nil, firstErr
 }
 
 // Run drives rounds until stop fires, then broadcasts shutdown.

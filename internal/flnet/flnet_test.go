@@ -308,14 +308,40 @@ func TestCoordinatorRejectsBadConfig(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	if _, err := NewCoordinator(CoordinatorConfig{Classes: 0, Features: 5}, ln, nil); !errors.Is(err, ErrCoordinator) {
-		t.Errorf("zero classes = %v, want ErrCoordinator", err)
+	valid := func() CoordinatorConfig {
+		return CoordinatorConfig{
+			Classes: 2, Features: 2,
+			FL: fl.Config{ClientsPerRound: 2, LocalEpochs: 1, LearningRate: 1},
+		}
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{
-		Classes: 2, Features: 2,
-		FL: fl.Config{ClientsPerRound: 0, LocalEpochs: 1, LearningRate: 1},
-	}, ln, nil); !errors.Is(err, ErrCoordinator) {
-		t.Errorf("K=0 = %v, want ErrCoordinator", err)
+	tests := []struct {
+		name   string
+		mutate func(*CoordinatorConfig)
+	}{
+		{"zero classes", func(c *CoordinatorConfig) { c.Classes = 0 }},
+		{"K=0", func(c *CoordinatorConfig) { c.FL.ClientsPerRound = 0 }},
+		{"E=0", func(c *CoordinatorConfig) { c.FL.LocalEpochs = 0 }},
+		{"zero learning rate", func(c *CoordinatorConfig) { c.FL.LearningRate = 0 }},
+		{"decay above one", func(c *CoordinatorConfig) { c.FL.Decay = 1.5 }},
+		{"negative decay", func(c *CoordinatorConfig) { c.FL.Decay = -0.5 }},
+		{"negative batch", func(c *CoordinatorConfig) { c.FL.BatchSize = -1 }},
+		{"negative proximal mu", func(c *CoordinatorConfig) { c.FL.ProximalMu = -1 }},
+		{"negative min replies", func(c *CoordinatorConfig) { c.MinReplies = -1 }},
+		{"min replies above K", func(c *CoordinatorConfig) { c.MinReplies = 3 }},
+		{"upload quant bits", func(c *CoordinatorConfig) { c.UploadQuantBits = 4 }},
+		{"download quant bits", func(c *CoordinatorConfig) { c.DownloadQuantBits = 4 }},
+	}
+	if _, err := NewCoordinator(valid(), ln, nil); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := valid()
+			tt.mutate(&cfg)
+			if _, err := NewCoordinator(cfg, ln, nil); !errors.Is(err, ErrCoordinator) {
+				t.Errorf("NewCoordinator = %v, want ErrCoordinator", err)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"eefei/internal/fl"
-	"eefei/internal/mat"
 	"eefei/internal/ml"
 )
 
@@ -183,7 +182,6 @@ func FuzzRejoinHandshake(f *testing.F) {
 				Classes:  2,
 				Features: 3,
 			},
-			rng: mat.NewRNG(1),
 		}
 		c.clients = []*clientConn{{
 			id:        0,

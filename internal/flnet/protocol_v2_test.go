@@ -316,10 +316,10 @@ func TestWriteFrameAllocationFree(t *testing.T) {
 
 // --- bit-identity and residual downlink --------------------------------------
 
-// residualCluster spins up a coordinator with the given downlink codec plus
-// `servers` edges, runs `rounds` rounds, and returns the coordinator (still
+// residualCluster spins up a coordinator with the given downlink and uplink
+// codecs plus `servers` edges, runs `rounds` rounds, and returns the coordinator (still
 // up; t.Cleanup shuts it down) and history.
-func residualCluster(t *testing.T, servers int, downBits ml.QuantBits, rounds int, stop fl.StopCondition) (*Coordinator, []fl.RoundRecord) {
+func residualCluster(t *testing.T, servers int, downBits, upBits ml.QuantBits, rounds int, stop fl.StopCondition) (*Coordinator, []fl.RoundRecord) {
 	t.Helper()
 	dcfg := dataset.QuickSyntheticConfig()
 	dcfg.Samples = 400
@@ -344,6 +344,7 @@ func residualCluster(t *testing.T, servers int, downBits ml.QuantBits, rounds in
 		RoundTimeout:      30 * time.Second,
 		JoinTimeout:       10 * time.Second,
 		DownloadQuantBits: downBits,
+		UploadQuantBits:   upBits,
 	}, ln, test)
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
@@ -412,7 +413,7 @@ type losslessGoldenRun struct {
 func TestLosslessV2MatchesGolden(t *testing.T) {
 	var got []losslessGoldenRun
 	for _, servers := range []int{1, 2, 4, 8} {
-		coord, hist := residualCluster(t, servers, 0, 3, nil)
+		coord, hist := residualCluster(t, servers, 0, 0, 3, nil)
 		run := losslessGoldenRun{Servers: servers, Global: hex.EncodeToString(coord.Global().AppendBinary(nil))}
 		for _, r := range hist {
 			run.Rounds = append(run.Rounds, losslessGoldenRound{
@@ -472,8 +473,8 @@ func TestResidualDownlinkShrinksBytesAndConverges(t *testing.T) {
 	stop := func(h []fl.RoundRecord) bool {
 		return fl.TargetAccuracy(0.9)(h) || fl.MaxRounds(60)(h)
 	}
-	_, full := residualCluster(t, servers, 0, 0, stop)
-	_, quant := residualCluster(t, servers, ml.Quant8, 0, stop)
+	_, full := residualCluster(t, servers, 0, 0, 0, stop)
+	_, quant := residualCluster(t, servers, ml.Quant8, 0, 0, stop)
 
 	if acc := quant[len(quant)-1].TestAccuracy; acc < 0.9 {
 		t.Errorf("quantized downlink final accuracy = %v, want >= 0.9 within %d rounds", acc, len(quant))

@@ -2,7 +2,10 @@ package flnet
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -106,7 +109,8 @@ func TestStragglerToleranceDropsDeadClient(t *testing.T) {
 }
 
 // TestStragglerToleranceMinRepliesEnforced verifies that a round still fails
-// when fewer than MinReplies clients respond.
+// when fewer than MinReplies clients respond, and that the failed round
+// leaves its dead clients unselectable.
 func TestStragglerToleranceMinRepliesEnforced(t *testing.T) {
 	dcfg := dataset.QuickSyntheticConfig()
 	dcfg.Samples = 100
@@ -160,5 +164,14 @@ func TestStragglerToleranceMinRepliesEnforced(t *testing.T) {
 	}
 	if _, err := coord.Round(ctx); err == nil {
 		t.Error("round with zero replies must fail even with tolerance on")
+	}
+	// The failed round must still mark both dead clients disconnected, so
+	// the next round finds nobody to select rather than re-trying them.
+	if n := coord.Connected(); n != 0 {
+		t.Errorf("after the failed round %d clients still connected, want 0", n)
+	}
+	_, err = coord.Round(ctx)
+	if !errors.Is(err, ErrCoordinator) || !strings.Contains(fmt.Sprint(err), "K=2 of 0 alive clients") {
+		t.Errorf("second round = %v, want K=2 of 0 alive clients", err)
 	}
 }

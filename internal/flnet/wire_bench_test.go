@@ -124,9 +124,9 @@ func BenchmarkEncodeResidual(b *testing.B) {
 	snap.W.Fill(0.25)
 	last := snap.Clone()
 	last.W.Fill(0.249) // small drift, as between consecutive rounds
-	c := &Coordinator{cfg: CoordinatorConfig{Classes: 10, Features: 64}, snap: snap}
+	c := &Coordinator{cfg: CoordinatorConfig{Classes: 10, Features: 64}}
 	cl := &clientConn{lastSent: last}
-	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}
+	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1, Model: snap}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

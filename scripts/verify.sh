@@ -35,6 +35,16 @@ echo "== observer determinism/race (explicit) =="
 go test -race -run 'Observer|SpawnGate|TraceWriter|AsyncPoolBitIdentical' ./internal/fl ./internal/flnet
 go test -race -run 'BitIdentical|Forward|Metrics' ./internal/mat ./internal/ml
 
+echo "== round core golden (race detector, explicit) =="
+# The one FedAvg round both synchronous engines run (fl.Engine.RoundWith),
+# pinned under -race at several GOMAXPROCS: the in-process Engine (full
+# batch and mini-batch FedProx, pools {1,4}), the AsyncEngine on the shared
+# pool (workers {1,4}, staleness drops), a Quant8-down/Quant8-up TCP
+# coordinator (fleets {2,4}) and a 10%-loss datagram run all match the
+# goldens captured before the round was shared; the straggler, chaos and
+# pool bit-identity contracts ride along.
+go test -race -cpu 1,2,8 -run 'RoundCoreGolden|Straggler|Chaos|AsyncPoolBitIdentical|RoundParallelBitIdentical' ./internal/fl ./internal/flnet
+
 echo "== sweep golden/resume/bit-identity (race detector, explicit) =="
 # The (K, E) sweep subsystem's contracts pinned under -race even if the
 # full -race sweep above is ever narrowed: the checked-in Quick-scale 3×3
