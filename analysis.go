@@ -8,13 +8,12 @@ import (
 	"eefei/internal/energy"
 	"eefei/internal/fl"
 	"eefei/internal/ml"
-	"eefei/internal/sim"
 )
 
 // This file exposes the analysis and extension surface of the library:
 // plan sensitivity, the energy/time Pareto frontier, per-term energy
-// breakdowns, lossy model-upload compression, heterogeneous fleets, and
-// power-trace persistence.
+// breakdowns, lossy model-upload compression, and power-trace
+// persistence.
 
 // Analysis types, re-exported.
 type (
@@ -27,12 +26,6 @@ type (
 	Breakdown = core.Breakdown
 	// QuantBits selects the lossy upload codec width.
 	QuantBits = ml.QuantBits
-	// Heterogeneity describes per-server device spread.
-	Heterogeneity = sim.Heterogeneity
-	// DeviceFleet holds realized per-server device models.
-	DeviceFleet = sim.DeviceFleet
-	// StragglerReport quantifies synchronous-round idle waste.
-	StragglerReport = sim.StragglerReport
 )
 
 // Quantization widths, re-exported.
@@ -71,12 +64,6 @@ func QuantizeModel(m *Model, bits QuantBits) ([]byte, error) {
 // DequantizeModel decodes a QuantizeModel payload.
 func DequantizeModel(data []byte) (*Model, error) {
 	return ml.DequantizeModel(data)
-}
-
-// NewDeviceFleet realizes n per-server device models around a nominal model
-// with the given heterogeneity.
-func NewDeviceFleet(nominal DeviceModel, n int, h Heterogeneity) (*DeviceFleet, error) {
-	return sim.NewDeviceFleet(nominal, n, h)
 }
 
 // SaveTrace / LoadTrace persist 1 kHz power captures in the library's

@@ -26,7 +26,6 @@ import (
 	"eefei/internal/mat"
 	"eefei/internal/ml"
 	"eefei/internal/optim"
-	"eefei/internal/sim"
 )
 
 // benchSetup lazily builds the shared quick-scale experiment substrate.
@@ -274,17 +273,17 @@ func BenchmarkSGDEpochFullBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkModelSerialize is the wire codec round trip: AppendBinary into a
+// reused buffer, then UnmarshalBinaryReuse into a reused model.
 func BenchmarkModelSerialize(b *testing.B) {
 	m := ml.NewModel(10, 784, ml.Softmax)
+	buf := make([]byte, 0, m.EncodedSize())
+	var back ml.Model
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := m.MarshalBinary()
-		if err != nil {
-			b.Fatalf("MarshalBinary: %v", err)
-		}
-		var back ml.Model
-		if err := back.UnmarshalBinary(data); err != nil {
-			b.Fatalf("UnmarshalBinary: %v", err)
+		buf = m.AppendBinary(buf[:0])
+		if err := back.UnmarshalBinaryReuse(buf); err != nil {
+			b.Fatalf("UnmarshalBinaryReuse: %v", err)
 		}
 	}
 }
@@ -377,26 +376,6 @@ func BenchmarkQuantizeModel8(b *testing.B) {
 		}
 		if _, err := ml.DequantizeModel(data); err != nil {
 			b.Fatalf("DequantizeModel: %v", err)
-		}
-	}
-}
-
-func BenchmarkStragglerReport(b *testing.B) {
-	fleet, err := sim.NewDeviceFleet(energy.DefaultPiDeviceModel(), 20,
-		sim.Heterogeneity{SpeedSpread: 0.3, Seed: 1})
-	if err != nil {
-		b.Fatalf("NewDeviceFleet: %v", err)
-	}
-	samples := make([]int, 20)
-	sel := make([]int, 20)
-	for i := range samples {
-		samples[i] = 3000
-		sel[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fleet.Stragglers(sel, 40, samples); err != nil {
-			b.Fatalf("Stragglers: %v", err)
 		}
 	}
 }

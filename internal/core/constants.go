@@ -151,45 +151,6 @@ type GapObservation struct {
 	Gap     float64
 }
 
-// FitBoundConstantsIntercept fits gap ≈ A0/(TE) + A1/K + A2(E−1) + C by
-// least squares. The intercept C absorbs the irreducible part of the
-// empirical loss gap (the noise floor a real training run converges to),
-// which would otherwise be dumped into the near-constant 1/K feature and
-// inflate A1. Callers targeting a gap ε should compare against ε − C.
-func FitBoundConstantsIntercept(obs []GapObservation) (BoundConstants, float64, error) {
-	if len(obs) < 4 {
-		return BoundConstants{}, 0, fmt.Errorf("%d observations, need >= 4: %w", len(obs), ErrParams)
-	}
-	design := mat.NewDense(len(obs), 4)
-	y := make([]float64, len(obs))
-	for i, o := range obs {
-		if o.K <= 0 || o.E <= 0 || o.T <= 0 {
-			return BoundConstants{}, 0, fmt.Errorf("observation %d has non-positive parameters: %w", i, ErrParams)
-		}
-		design.Set(i, 0, 1/float64(o.T*o.E))
-		design.Set(i, 1, 1/float64(o.K))
-		design.Set(i, 2, float64(o.E-1))
-		design.Set(i, 3, 1)
-		y[i] = o.Gap
-	}
-	coef, err := mat.QRLeastSquares(design, y)
-	if err != nil {
-		return BoundConstants{}, 0, fmt.Errorf("bound fit: %w", err)
-	}
-	const floor = 1e-12
-	b := BoundConstants{A0: coef[0], A1: coef[1], A2: coef[2]}
-	if b.A0 < floor {
-		b.A0 = floor
-	}
-	if b.A1 < floor {
-		b.A1 = floor
-	}
-	if b.A2 < 0 {
-		b.A2 = 0
-	}
-	return b, coef[3], nil
-}
-
 // FitBoundConstants least-squares fits the bound constants to empirical
 // convergence data using the feature map [1/(TE), 1/K, (E−1)] of Eq. (10).
 // Negative fitted values are clamped to a small positive floor, since the

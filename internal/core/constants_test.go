@@ -192,43 +192,3 @@ func TestFitBoundConstantsClampsNegatives(t *testing.T) {
 		t.Errorf("fit not clamped: %+v", b)
 	}
 }
-
-func TestFitBoundConstantsInterceptRecoversShiftedModel(t *testing.T) {
-	// Data generated with a constant noise-floor offset: the plain fit
-	// would corrupt A1, the intercept fit must recover the true constants.
-	truth := BoundConstants{A0: 80, A1: 0.2, A2: 5e-4}
-	const floor = 0.35
-	var obs []GapObservation
-	for _, k := range []int{1, 2, 4, 8, 16} {
-		for _, e := range []int{1, 4, 16, 64} {
-			for _, tt := range []int{5, 20, 80} {
-				obs = append(obs, GapObservation{
-					K: k, E: e, T: tt,
-					Gap: truth.Gap(float64(k), float64(e), float64(tt)) + floor,
-				})
-			}
-		}
-	}
-	got, c, err := FitBoundConstantsIntercept(obs)
-	if err != nil {
-		t.Fatalf("FitBoundConstantsIntercept: %v", err)
-	}
-	if math.Abs(c-floor) > 1e-6 {
-		t.Errorf("intercept = %v, want %v", c, floor)
-	}
-	if math.Abs(got.A0-truth.A0)/truth.A0 > 1e-6 ||
-		math.Abs(got.A1-truth.A1)/truth.A1 > 1e-6 ||
-		math.Abs(got.A2-truth.A2)/truth.A2 > 1e-4 {
-		t.Errorf("fit = %+v, want %+v", got, truth)
-	}
-}
-
-func TestFitBoundConstantsInterceptErrors(t *testing.T) {
-	if _, _, err := FitBoundConstantsIntercept(nil); !errors.Is(err, ErrParams) {
-		t.Errorf("no observations = %v, want ErrParams", err)
-	}
-	bad := []GapObservation{{K: 0, E: 1, T: 1}, {K: 1, E: 1, T: 1}, {K: 2, E: 1, T: 1}, {K: 3, E: 1, T: 1}}
-	if _, _, err := FitBoundConstantsIntercept(bad); !errors.Is(err, ErrParams) {
-		t.Errorf("K=0 = %v, want ErrParams", err)
-	}
-}

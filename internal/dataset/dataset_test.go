@@ -9,15 +9,13 @@ import (
 
 func tinyDataset(t *testing.T) *Dataset {
 	t.Helper()
-	x, err := mat.NewDenseData(4, 2, []float64{
+	x := mat.NewDense(4, 2)
+	copy(x.RawData(), []float64{
 		1, 2,
 		3, 4,
 		5, 6,
 		7, 8,
 	})
-	if err != nil {
-		t.Fatalf("NewDenseData: %v", err)
-	}
 	return &Dataset{X: x, Labels: []int{0, 1, 0, 1}, Classes: 2}
 }
 
@@ -84,24 +82,6 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestHead(t *testing.T) {
-	d := tinyDataset(t)
-	h, err := d.Head(2)
-	if err != nil {
-		t.Fatalf("Head: %v", err)
-	}
-	if h.Len() != 2 || h.X.At(1, 0) != 3 {
-		t.Errorf("Head(2) wrong: len %d, At(1,0)=%v", h.Len(), h.X.At(1, 0))
-	}
-	over, err := d.Head(10)
-	if err != nil {
-		t.Fatalf("Head(10): %v", err)
-	}
-	if over.Len() != 4 {
-		t.Errorf("Head(10) len = %d, want 4", over.Len())
-	}
-}
-
 func TestShufflePreservesPairs(t *testing.T) {
 	d := tinyDataset(t)
 	// Tag each row's first feature with its original label so pairing can be
@@ -129,10 +109,11 @@ func TestShuffleDeterministic(t *testing.T) {
 	}
 }
 
-func TestClassCounts(t *testing.T) {
-	d := tinyDataset(t)
-	counts := d.ClassCounts()
-	if counts[0] != 2 || counts[1] != 2 {
-		t.Errorf("ClassCounts = %v, want [2 2]", counts)
+// classCounts returns a histogram of d's label occurrences.
+func classCounts(d *Dataset) []int {
+	counts := make([]int, d.Classes)
+	for _, y := range d.Labels {
+		counts[y]++
 	}
+	return counts
 }

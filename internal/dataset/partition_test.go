@@ -53,7 +53,7 @@ func TestIIDPartitionNearUniformClasses(t *testing.T) {
 		t.Fatalf("Partition: %v", err)
 	}
 	for i, s := range shards {
-		counts := s.ClassCounts()
+		counts := classCounts(s)
 		want := s.Len() / d.Classes
 		for c, n := range counts {
 			if n < want/2 || n > want*2 {
@@ -102,7 +102,7 @@ func TestLabelSkewConcentratesHomeClass(t *testing.T) {
 	}
 	for s, shard := range shards {
 		home := s % d.Classes
-		counts := shard.ClassCounts()
+		counts := classCounts(shard)
 		frac := float64(counts[home]) / float64(shard.Len())
 		if frac < 0.5 {
 			t.Errorf("shard %d home-class fraction = %.2f, want >= 0.5", s, frac)

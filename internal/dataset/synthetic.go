@@ -155,22 +155,16 @@ func synthesizeWithOffset(cfg SyntheticConfig, protoSeed uint64, offset uint64) 
 	return out, nil
 }
 
-// SynthesizeParallel generates the same class-conditional distribution as
-// Synthesize, but each row draws its noise from an independent stream
+// SynthesizePairParallel generates the same class-conditional distribution
+// as SynthesizePair, but each row draws its noise from an independent stream
 // derived from (seed, stream, row), so generation fans out across workers
-// and is bit-identical for every worker count (including 1). The stream
-// layout necessarily differs from Synthesize's single sequential walk, so
-// the two generators produce different — equally distributed — datasets for
-// the same config; large-N callers (the Full experiment tier, 60k×784)
-// use this path, the committed quick/paper artifacts keep the original.
-// workers <= 0 selects GOMAXPROCS.
-func SynthesizeParallel(cfg SyntheticConfig, workers int) (*Dataset, error) {
-	return synthesizeRowStreams(cfg, cfg.Seed, 0, workers)
-}
-
-// SynthesizePairParallel mirrors SynthesizePair for the per-row-stream
-// generator: train and test share prototypes (both derive them from
-// train.Seed) but draw disjoint noise streams.
+// and is bit-identical for every worker count (including 1). Train and test
+// share prototypes (both derive them from train.Seed) but draw disjoint
+// noise streams. The stream layout necessarily differs from SynthesizePair's
+// sequential walk, so the two generators produce different — equally
+// distributed — datasets for the same configs; large-N callers (the Full
+// experiment tier, 60k×784) use this path, the committed quick/paper
+// artifacts keep the original. workers <= 0 selects GOMAXPROCS.
 func SynthesizePairParallel(train, test SyntheticConfig, workers int) (*Dataset, *Dataset, error) {
 	tr, err := synthesizeRowStreams(train, train.Seed, 0, workers)
 	if err != nil {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"eefei/internal/mat"
@@ -71,7 +72,7 @@ func TestSynthesizeBalancedClasses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	counts := d.ClassCounts()
+	counts := classCounts(d)
 	want := d.Len() / d.Classes
 	for c, n := range counts {
 		if n != want {
@@ -118,7 +119,9 @@ func TestSynthesizeClassesAreSeparable(t *testing.T) {
 	for i := 0; i < test.Len(); i++ {
 		best, bestDist := -1, math.Inf(1)
 		for c := 0; c < cfg.Classes; c++ {
-			mat.SubVec(diff, test.X.Row(i), means.Row(c))
+			for j, m := range means.Row(c) {
+				diff[j] = test.X.At(i, j) - m
+			}
 			if d := mat.Norm2(diff); d < bestDist {
 				best, bestDist = c, d
 			}
@@ -146,54 +149,64 @@ func TestSynthesizePairSharesPrototypes(t *testing.T) {
 		t.Error("train and test must not be identical")
 	}
 	trainMean := classMean(train, 0)
-	testMean := classMean(test, 0)
-	mat.SubVec(trainMean, trainMean, testMean)
+	mat.Axpy(trainMean, -1, classMean(test, 0))
 	if dist := mat.Norm2(trainMean); dist > 0.1*float64(train.Dim()) {
 		t.Errorf("class-0 means differ by %v; prototypes not shared?", dist)
 	}
 }
 
-func TestSynthesizeParallelBitIdenticalAcrossWorkers(t *testing.T) {
-	cfg := QuickSyntheticConfig()
-	cfg.Samples = 1003 // not a multiple of the chunk size, to cover the tail
-	base, err := SynthesizeParallel(cfg, 1)
+// parallelPair is the Full tier's split shape: a train set and a smaller
+// test set, neither a multiple of the 256-row chunk, to cover the tails.
+func parallelPair(t *testing.T, workers int) (*Dataset, *Dataset) {
+	t.Helper()
+	train, test := QuickSyntheticConfig(), QuickSyntheticConfig()
+	train.Samples, test.Samples = 1003, 517
+	tr, te, err := SynthesizePairParallel(train, test, workers)
 	if err != nil {
-		t.Fatalf("SynthesizeParallel(1): %v", err)
+		t.Fatalf("SynthesizePairParallel(%d): %v", workers, err)
 	}
-	for _, workers := range []int{2, 3, 8, 0} { // 0 = GOMAXPROCS
-		d, err := SynthesizeParallel(cfg, workers)
-		if err != nil {
-			t.Fatalf("SynthesizeParallel(%d): %v", workers, err)
-		}
-		if !d.X.Equal(base.X, 0) {
-			t.Fatalf("workers=%d pixels differ from workers=1", workers)
-		}
-		for i := range d.Labels {
-			if d.Labels[i] != base.Labels[i] {
-				t.Fatalf("workers=%d labels differ from workers=1", workers)
+	return tr, te
+}
+
+func TestSynthesizeParallelBitIdenticalAcrossWorkers(t *testing.T) {
+	baseTrain, baseTest := parallelPair(t, 1)
+	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 0} { // 0 = GOMAXPROCS
+		train, test := parallelPair(t, workers)
+		for _, half := range []struct {
+			name      string
+			got, want *Dataset
+		}{{"train", train, baseTrain}, {"test", test, baseTest}} {
+			if !half.got.X.Equal(half.want.X, 0) {
+				t.Fatalf("workers=%d %s pixels differ from workers=1", workers, half.name)
+			}
+			for i := range half.got.Labels {
+				if half.got.Labels[i] != half.want.Labels[i] {
+					t.Fatalf("workers=%d %s labels differ from workers=1", workers, half.name)
+				}
 			}
 		}
 	}
 }
 
 func TestSynthesizeParallelBalancedAndValid(t *testing.T) {
-	cfg := QuickSyntheticConfig()
-	d, err := SynthesizeParallel(cfg, 4)
-	if err != nil {
-		t.Fatalf("SynthesizeParallel: %v", err)
-	}
-	if err := d.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-	want := d.Len() / d.Classes
-	for c, n := range d.ClassCounts() {
-		if n != want {
-			t.Errorf("class %d count = %d, want %d", c, n, want)
+	train, test := parallelPair(t, 4)
+	for _, d := range []*Dataset{train, test} {
+		if err := d.Validate(); err != nil {
+			t.Errorf("Validate: %v", err)
 		}
-	}
-	for _, v := range d.X.RawData() {
-		if v < 0 || v > 1 {
-			t.Fatalf("pixel %v outside [0,1]", v)
+		for c, n := range classCounts(d) {
+			want := d.Len() / d.Classes // labels cycle 0..Classes-1
+			if c < d.Len()%d.Classes {
+				want++
+			}
+			if n != want {
+				t.Errorf("%d samples: class %d count = %d, want %d", d.Len(), c, n, want)
+			}
+		}
+		for _, v := range d.X.RawData() {
+			if v < 0 || v > 1 {
+				t.Fatalf("pixel %v outside [0,1]", v)
+			}
 		}
 	}
 }
@@ -209,8 +222,7 @@ func TestSynthesizePairParallelSharesPrototypes(t *testing.T) {
 		t.Error("train and test must not be identical")
 	}
 	trainMean := classMean(train, 0)
-	testMean := classMean(test, 0)
-	mat.SubVec(trainMean, trainMean, testMean)
+	mat.Axpy(trainMean, -1, classMean(test, 0))
 	if dist := mat.Norm2(trainMean); dist > 0.1*float64(train.Dim()) {
 		t.Errorf("class-0 means differ by %v; prototypes not shared?", dist)
 	}
@@ -238,11 +250,11 @@ func TestSynthesizeParallelRejectsBadConfig(t *testing.T) {
 		{Samples: 10, Classes: 10, Side: 0},
 	}
 	for _, cfg := range bad {
-		if _, err := SynthesizeParallel(cfg, 2); err == nil {
-			t.Errorf("config %+v must be rejected", cfg)
+		if _, _, err := SynthesizePairParallel(cfg, QuickSyntheticConfig(), 2); err == nil {
+			t.Errorf("train config %+v must be rejected", cfg)
 		}
-		if _, _, err := SynthesizePairParallel(cfg, cfg, 2); err == nil {
-			t.Errorf("pair config %+v must be rejected", cfg)
+		if _, _, err := SynthesizePairParallel(QuickSyntheticConfig(), cfg, 2); err == nil {
+			t.Errorf("test config %+v must be rejected", cfg)
 		}
 	}
 }

@@ -49,9 +49,6 @@ func MapRoundPhase(p fl.Phase) Phase {
 	return PhaseWaiting
 }
 
-// phaseIndex returns the dense 0-based index of a canonical phase.
-func phaseIndex(p Phase) int { return int(p) - 1 }
-
 // Calibrator converts measured per-phase round timings into a per-phase
 // energy ledger and a refitted TimeModel. It implements fl.RoundObserver, so
 // it can be attached to any engine (directly or fanned out next to a
@@ -59,9 +56,10 @@ func phaseIndex(p Phase) int { return int(p) - 1 }
 // are strictly passive, and same-seed runs with and without a Calibrator are
 // bit-identical (TestCalibratorDoesNotPerturbTraining).
 //
-// ObserveRound is allocation-free in steady state (ring-buffered training
-// observations, pre-seeded ledger keys; BenchmarkCalibratorObserve pins
-// 0 allocs/op), so the existing 0-alloc round pins hold with one attached.
+// ObserveRound is allocation-free in steady state (a fixed-size ledger and
+// a ring of the last observationWindow training observations;
+// BenchmarkCalibratorObserve pins 0 allocs/op), so the existing 0-alloc
+// round pins hold with one attached.
 // It is safe for concurrent use by multiple engines.
 type Calibrator struct {
 	mu     sync.Mutex
@@ -94,18 +92,12 @@ type Calibrator struct {
 
 var _ fl.RoundObserver = (*Calibrator)(nil)
 
+// observationWindow is how many of the most recent training observations
+// the refit retains.
+const observationWindow = 256
+
 // CalibratorOption customizes a Calibrator.
 type CalibratorOption func(*Calibrator)
-
-// WithObservationWindow bounds how many of the most recent training
-// observations the refit retains (default 256). n <= 0 keeps the default.
-func WithObservationWindow(n int) CalibratorOption {
-	return func(c *Calibrator) {
-		if n > 0 {
-			c.obs = make([]TrainObservation, 0, n)
-		}
-	}
-}
 
 // WithRadioModel prices the upload/download phases of observed rounds from
 // their measured frame-byte counts (fl.RoundStats.UplinkBytes /
@@ -133,7 +125,7 @@ func NewCalibrator(power PowerModel, epochs, samples int, opts ...CalibratorOpti
 		ledger:  NewLedger(),
 		epochs:  epochs,
 		samples: samples,
-		obs:     make([]TrainObservation, 0, 256),
+		obs:     make([]TrainObservation, 0, observationWindow),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -142,11 +134,6 @@ func NewCalibrator(power PowerModel, epochs, samples int, opts ...CalibratorOpti
 		if err := c.radio.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	// Pre-seed the four canonical keys so steady-state Add never grows the
-	// ledger map — part of the 0-alloc ObserveRound contract.
-	for _, p := range Phases {
-		c.ledger.Add(p, 0)
 	}
 	return c, nil
 }
@@ -262,17 +249,6 @@ func (c *Calibrator) PhaseWallClock(p Phase) time.Duration {
 	return c.durSum[i]
 }
 
-// Observations returns a copy of the retained training observations (the
-// refit window). Ring order is not chronological once the window has
-// wrapped; the least-squares fit is order-independent.
-func (c *Calibrator) Observations() []TrainObservation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]TrainObservation, len(c.obs))
-	copy(out, c.obs)
-	return out
-}
-
 // Refit recovers a TimeModel from the accumulated measurements: the training
 // law t = a0·E·n + a1·E by least squares over the retained observations
 // (energy.FitDurations — the Table-I fit), and waiting / download / upload as
@@ -314,19 +290,6 @@ func (c *Calibrator) Refit() (TimeModel, error) {
 	}
 	tm.TrainPerSample, tm.TrainPerEpoch = perSample, perEpoch
 	return tm, nil
-}
-
-// FitMeasuredCoefficients recovers the paper's (c0, c1) energy coefficients
-// from the retained measured observations — the Section VI-B fit, run on
-// live round timings instead of bench-top meter captures. Like Refit it
-// needs ≥ 2 distinct (E, n) shapes.
-func (c *Calibrator) FitMeasuredCoefficients() (c0, c1 float64, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.uniformShape() {
-		return 0, 0, fmt.Errorf("coefficient fit needs >= 2 distinct (E, n) shapes: %w", ErrCalibrate)
-	}
-	return FitCoefficients(c.obs)
 }
 
 // uniformShape reports whether every retained observation shares one (E, n)

@@ -98,9 +98,9 @@ func TestCalibratorClosedLoop(t *testing.T) {
 	}
 
 	// The measured coefficients must land on the model-implied (c0, c1).
-	c0, c1, err := c.FitMeasuredCoefficients()
+	c0, c1, err := FitCoefficients(c.obs)
 	if err != nil {
-		t.Fatalf("FitMeasuredCoefficients: %v", err)
+		t.Fatalf("FitCoefficients over the refit window: %v", err)
 	}
 	wc0, wc1 := dm.Coefficients()
 	if math.Abs(c0-wc0)/wc0 > 0.01 || math.Abs(c1-wc1)/wc1 > 0.01 {
@@ -174,9 +174,6 @@ func TestCalibratorUniformShapeFallback(t *testing.T) {
 		t.Errorf("uniform-shape refit (a0=%v, a1=%v), want (a0=%v, a1=0)",
 			refit.TrainPerSample, refit.TrainPerEpoch, wantPerSample)
 	}
-	if _, _, err := c.FitMeasuredCoefficients(); !errors.Is(err, ErrCalibrate) {
-		t.Errorf("uniform-shape coefficient fit = %v, want ErrCalibrate", err)
-	}
 }
 
 func TestCalibratorValidation(t *testing.T) {
@@ -205,37 +202,48 @@ func TestCalibratorValidation(t *testing.T) {
 	}
 }
 
-// TestCalibratorObservationWindow pins the ring semantics: the refit window
-// holds the most recent observations once capacity wraps.
+// TestCalibratorObservationWindow pins the ring semantics through Refit:
+// once observationWindow fresh rounds have wrapped the ring, the training
+// law is fitted from them alone, while the ledger still counts every round.
 func TestCalibratorObservationWindow(t *testing.T) {
 	dm := DefaultPiDeviceModel()
-	c, err := NewCalibrator(dm.Power, 10, 100, WithObservationWindow(4))
+	stale := dm.Time
+	stale.TrainPerSample *= 3
+	stale.TrainPerEpoch *= 3
+	c, err := NewCalibrator(dm.Power, 10, 100)
 	if err != nil {
 		t.Fatalf("NewCalibrator: %v", err)
 	}
-	shapes := [][2]int{{10, 100}, {10, 500}, {20, 100}, {20, 500}, {40, 100}, {40, 500}}
-	for r, sh := range shapes {
-		if err := c.SetRoundShape(sh[0], sh[1]); err != nil {
-			t.Fatalf("SetRoundShape: %v", err)
-		}
-		c.ObserveRound(roundStatsFor(dm.Time, r, sh[0], sh[1]))
-	}
-	obs := c.Observations()
-	if len(obs) != 4 {
-		t.Fatalf("window holds %d observations, want 4", len(obs))
-	}
-	seen := map[[2]int]bool{}
-	for _, o := range obs {
-		seen[[2]int{o.Epochs, o.Samples}] = true
-	}
-	for _, dropped := range shapes[:2] {
-		if seen[dropped] {
-			t.Errorf("shape %v should have been evicted from the window", dropped)
+	shapes := [][2]int{{10, 100}, {20, 500}, {40, 1000}}
+	observe := func(tm TimeModel, rounds int) {
+		for r := 0; r < rounds; r++ {
+			sh := shapes[r%len(shapes)]
+			if err := c.SetRoundShape(sh[0], sh[1]); err != nil {
+				t.Fatalf("SetRoundShape: %v", err)
+			}
+			c.ObserveRound(roundStatsFor(tm, r, sh[0], sh[1]))
 		}
 	}
-	// Ledger and drift still account all six rounds, not just the window.
-	if c.Rounds() != len(shapes) {
-		t.Errorf("Rounds = %d, want %d", c.Rounds(), len(shapes))
+	perSampleOff := func() float64 {
+		t.Helper()
+		refit, err := c.Refit()
+		if err != nil {
+			t.Fatalf("Refit: %v", err)
+		}
+		return math.Abs(refit.TrainPerSample.Seconds()-dm.Time.TrainPerSample.Seconds()) / dm.Time.TrainPerSample.Seconds()
+	}
+	observe(stale, observationWindow)
+	observe(dm.Time, observationWindow/2)
+	if off := perSampleOff(); off < 0.1 {
+		t.Errorf("half-wrapped window refit is %.2f%% off the fresh model; stale rounds should still weigh in", 100*off)
+	}
+	observe(dm.Time, observationWindow/2)
+	if off := perSampleOff(); off > 0.001 {
+		t.Errorf("wrapped window refit is %.3f%% off the fresh model, want <= 0.1%%: stale rounds not evicted", 100*off)
+	}
+	// Ledger and drift still account every round, not just the window.
+	if c.Rounds() != 2*observationWindow {
+		t.Errorf("Rounds = %d, want %d", c.Rounds(), 2*observationWindow)
 	}
 }
 
@@ -287,15 +295,15 @@ func TestCalibratorDoesNotPerturbTraining(t *testing.T) {
 }
 
 // TestCalibratorObserveAllocationFree pins the steady-state zero-allocation
-// contract of the hot observer path (ring full, ledger keys seeded).
+// contract of the hot observer path (ring full and wrapping).
 func TestCalibratorObserveAllocationFree(t *testing.T) {
 	dm := DefaultPiDeviceModel()
-	c, err := NewCalibrator(dm.Power, 40, 2000, WithObservationWindow(8))
+	c, err := NewCalibrator(dm.Power, 40, 2000)
 	if err != nil {
 		t.Fatalf("NewCalibrator: %v", err)
 	}
 	s := roundStatsFor(dm.Time, 0, 40, 2000)
-	for i := 0; i < 16; i++ { // fill and wrap the ring
+	for i := 0; i < 2*observationWindow; i++ { // fill and wrap the ring
 		c.ObserveRound(s)
 	}
 	if avg := testing.AllocsPerRun(100, func() { c.ObserveRound(s) }); avg != 0 {

@@ -3,7 +3,6 @@ package energy
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"eefei/internal/mat"
@@ -119,19 +118,19 @@ func PaperTableI() []TrainObservation {
 // simulator posts every phase of every device round here, giving the
 // experiment harness a single place to read totals from.
 type Ledger struct {
-	joules map[Phase]float64
+	// joules holds the accumulated energy of each of the four Phases,
+	// indexed by phaseIndex.
+	joules [4]float64
 	// rounds counts completed global coordination rounds.
 	rounds int
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{joules: make(map[Phase]float64)}
-}
+func NewLedger() *Ledger { return &Ledger{} }
 
-// Add posts j joules of phase p.
+// Add posts j joules of phase p, which must be one of Phases.
 func (l *Ledger) Add(p Phase, j float64) {
-	l.joules[p] += j
+	l.joules[phaseIndex(p)] += j
 }
 
 // AddRound increments the completed-round counter.
@@ -140,37 +139,18 @@ func (l *Ledger) AddRound() { l.rounds++ }
 // Rounds returns how many rounds have been posted.
 func (l *Ledger) Rounds() int { return l.rounds }
 
-// Phase returns the accumulated joules for one phase.
-func (l *Ledger) Phase(p Phase) float64 { return l.joules[p] }
+// Phase returns the accumulated joules for one of Phases.
+func (l *Ledger) Phase(p Phase) float64 { return l.joules[phaseIndex(p)] }
 
-// Total returns the accumulated joules across all phases. Phases are summed
-// in a fixed order (canonical Phases first, any other keys ascending):
-// ranging over the map directly would randomize the float addition order and
-// make the last bits of the total differ between identical runs.
+// Total returns the accumulated joules across all phases, summed in the
+// fixed order waiting, download, train, upload so identical runs agree to
+// the last bit.
 func (l *Ledger) Total() float64 {
 	var t float64
-	for _, p := range Phases {
-		t += l.joules[p]
-	}
-	var extras []Phase
-	for p := range l.joules {
-		if !slices.Contains(Phases, p) {
-			extras = append(extras, p)
-		}
-	}
-	slices.Sort(extras)
-	for _, p := range extras {
-		t += l.joules[p]
+	for _, j := range l.joules {
+		t += j
 	}
 	return t
-}
-
-// Merge adds every entry of other into l.
-func (l *Ledger) Merge(other *Ledger) {
-	for p, j := range other.joules {
-		l.joules[p] += j
-	}
-	l.rounds += other.rounds
 }
 
 // String summarizes the ledger.

@@ -130,22 +130,20 @@ func TestLedger(t *testing.T) {
 		t.Errorf("rounds = %d, want 1", l.Rounds())
 	}
 
-	other := NewLedger()
-	other.Add(PhaseWaiting, 4)
-	other.AddRound()
-	l.Merge(other)
+	l.Add(PhaseWaiting, 4)
+	l.AddRound()
 	if l.Total() != 10 || l.Rounds() != 2 {
-		t.Errorf("after merge: total=%v rounds=%d", l.Total(), l.Rounds())
+		t.Errorf("after second round: total=%v rounds=%d", l.Total(), l.Rounds())
 	}
 	if l.String() == "" {
 		t.Error("String must render")
 	}
 }
 
-// TestLedgerTotalDeterministic pins that Total sums phases in a fixed order.
-// The phase values are chosen so that float addition order changes the last
-// bits; ranging over the map (whose iteration order is randomized per range)
-// would make repeated Total calls on one ledger disagree — the bug that made
+// TestLedgerTotalDeterministic pins that Total sums phases in the canonical
+// order. The phase values are chosen so that float addition order changes
+// the last bits; a randomized order (as ranging over a map once did) would
+// make repeated Total calls on one ledger disagree — the bug that made
 // same-config simulations differ in their energy totals.
 func TestLedgerTotalDeterministic(t *testing.T) {
 	l := NewLedger()
@@ -158,15 +156,6 @@ func TestLedgerTotalDeterministic(t *testing.T) {
 		if got := l.Total(); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("call %d: Total = %x, want canonical-order sum %x",
 				i, math.Float64bits(got), math.Float64bits(want))
-		}
-	}
-	// Out-of-enum phases still count, after the canonical four.
-	l.Add(Phase(99), 2.5)
-	l.Add(Phase(42), 1.5)
-	want = ((want + l.Phase(Phase(42))) + l.Phase(Phase(99)))
-	for i := 0; i < 100; i++ {
-		if got := l.Total(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("call %d with extras: Total = %v, want %v", i, got, want)
 		}
 	}
 }

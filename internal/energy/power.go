@@ -30,6 +30,9 @@ const (
 // Phases lists all phases in their per-round order.
 var Phases = []Phase{PhaseWaiting, PhaseDownload, PhaseTrain, PhaseUpload}
 
+// phaseIndex returns the dense 0-based index of a canonical phase.
+func phaseIndex(p Phase) int { return int(p) - 1 }
+
 // String implements fmt.Stringer.
 func (p Phase) String() string {
 	switch p {

@@ -3,7 +3,6 @@ package energy
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Bytes→joules pricing. The analytic TimeModel charges upload/download as
@@ -60,22 +59,6 @@ func (rm RadioModel) Validate() error {
 			rm.TxPowerWatts, rm.RxPowerWatts, ErrRadioModel)
 	}
 	return nil
-}
-
-// UploadTime returns the airtime to upload the given bytes.
-func (rm RadioModel) UploadTime(bytes int64) time.Duration {
-	if bytes <= 0 {
-		return 0
-	}
-	return time.Duration(float64(bytes) * 8 / rm.UplinkBitsPerSec * float64(time.Second))
-}
-
-// DownloadTime returns the airtime to download the given bytes.
-func (rm RadioModel) DownloadTime(bytes int64) time.Duration {
-	if bytes <= 0 {
-		return 0
-	}
-	return time.Duration(float64(bytes) * 8 / rm.DownlinkBitsPerSec * float64(time.Second))
 }
 
 // UploadEnergy returns the joules to upload the given bytes:

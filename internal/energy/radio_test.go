@@ -50,12 +50,6 @@ func TestRadioModelEnergyLinearInBytes(t *testing.T) {
 			t.Errorf("bytes=%d: want zero energy", b)
 		}
 	}
-	if got, want := rm.UploadTime(1e6), time.Second; got != want {
-		t.Errorf("UploadTime(1e6) = %v, want %v", got, want)
-	}
-	if got, want := rm.DownloadTime(1e6), 2*time.Second; got != want {
-		t.Errorf("DownloadTime(1e6) = %v, want %v", got, want)
-	}
 }
 
 // TestDefaultWiFiRadioModelMatchesPiTimeModel pins the calibration promise of
@@ -66,11 +60,12 @@ func TestDefaultWiFiRadioModelMatchesPiTimeModel(t *testing.T) {
 	rm := DefaultWiFiRadioModel()
 	tm := DefaultPiTimeModel()
 	const modelBytes = 63000
-	if got, want := rm.UploadTime(modelBytes), tm.Upload; absDur(got-want) > time.Millisecond {
-		t.Errorf("UploadTime(%d) = %v, want ~%v", int64(modelBytes), got, want)
+	// Airtime bytes·8/rate reproduces the analytic phase durations.
+	if got, want := airtime(modelBytes, rm.UplinkBitsPerSec), tm.Upload; absDur(got-want) > time.Millisecond {
+		t.Errorf("upload airtime(%d) = %v, want ~%v", int64(modelBytes), got, want)
 	}
-	if got, want := rm.DownloadTime(modelBytes), tm.Download; absDur(got-want) > time.Millisecond {
-		t.Errorf("DownloadTime(%d) = %v, want ~%v", int64(modelBytes), got, want)
+	if got, want := airtime(modelBytes, rm.DownlinkBitsPerSec), tm.Download; absDur(got-want) > time.Millisecond {
+		t.Errorf("download airtime(%d) = %v, want ~%v", int64(modelBytes), got, want)
 	}
 	pm := DefaultPiPowerModel()
 	wantUp := pm.Energy(PhaseUpload, tm.Upload)
@@ -183,4 +178,9 @@ func absDur(d time.Duration) time.Duration {
 		return -d
 	}
 	return d
+}
+
+// airtime is the bytes·8/rate transfer time the radio model prices.
+func airtime(bytes int64, bitsPerSec float64) time.Duration {
+	return time.Duration(float64(bytes) * 8 / bitsPerSec * float64(time.Second))
 }

@@ -9,7 +9,9 @@ import (
 
 func modelWith(val float64) *ml.Model {
 	m := ml.NewModel(2, 2, ml.Softmax)
-	m.W.Fill(val)
+	for i := range m.W.RawData() {
+		m.W.RawData()[i] = val
+	}
 	for i := range m.B {
 		m.B[i] = val
 	}

@@ -61,18 +61,6 @@ type AsyncConfig struct {
 	Seed uint64
 }
 
-// DefaultAsyncConfig mirrors the synchronous default's local work.
-func DefaultAsyncConfig() AsyncConfig {
-	return AsyncConfig{
-		LocalEpochs:  40,
-		LearningRate: 0.01,
-		Decay:        0.99,
-		MixWeight:    0.6,
-		Activation:   ml.Softmax,
-		Seed:         1,
-	}
-}
-
 // Validate checks the configuration.
 func (c AsyncConfig) Validate() error {
 	if c.LocalEpochs < 1 {

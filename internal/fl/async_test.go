@@ -10,6 +10,18 @@ import (
 	"eefei/internal/ml"
 )
 
+// defaultAsyncConfig mirrors the synchronous default's local work.
+func defaultAsyncConfig() AsyncConfig {
+	return AsyncConfig{
+		LocalEpochs:  40,
+		LearningRate: 0.01,
+		Decay:        0.99,
+		MixWeight:    0.6,
+		Activation:   ml.Softmax,
+		Seed:         1,
+	}
+}
+
 func TestAsyncConfigValidate(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -26,7 +38,7 @@ func TestAsyncConfigValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			cfg := DefaultAsyncConfig()
+			cfg := defaultAsyncConfig()
 			tt.mutate(&cfg)
 			if err := cfg.Validate(); (err != nil) != tt.wantErr {
 				t.Errorf("Validate = %v, wantErr %v", err, tt.wantErr)

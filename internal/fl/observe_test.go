@@ -124,7 +124,7 @@ func TestObserverDeterminism(t *testing.T) {
 // including observed staleness-dropped steps.
 func TestAsyncObserverDeterminism(t *testing.T) {
 	shards, test := quickShards(t, 6)
-	cfg := DefaultAsyncConfig()
+	cfg := defaultAsyncConfig()
 	cfg.LocalEpochs = 2
 	cfg.MaxStaleness = 2 // force some dropped steps into the observed stream
 	run := func(observed bool) ([]AsyncUpdate, int) {

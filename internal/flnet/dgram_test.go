@@ -115,11 +115,7 @@ func runDgramTraining(t *testing.T, seed uint64, rounds int, successProb float64
 		if _, err := coord.Round(ctx); err != nil {
 			t.Fatalf("round failed over dgram transport: %v", err)
 		}
-		w, err := coord.Global().MarshalBinary()
-		if err != nil {
-			t.Fatalf("MarshalBinary: %v", err)
-		}
-		weights = append(weights, w)
+		weights = append(weights, coord.Global().AppendBinary(nil))
 	}
 	coord.Shutdown()
 	wg.Wait()

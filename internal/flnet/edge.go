@@ -69,8 +69,6 @@ type EdgeServer struct {
 	cfg  EdgeConfig
 	conn net.Conn
 	id   int
-	// roundsServed counts completed local-training requests.
-	roundsServed int
 
 	// Per-connection scratch for the zero-copy round path. readBuf is the
 	// frame read scratch; base is the reconstructed global model the
@@ -85,12 +83,6 @@ type EdgeServer struct {
 	work      *ml.Model
 	resid     *ml.Model
 	sgd       *ml.SGD
-}
-
-// Dial connects to the coordinator and performs the Join/Welcome handshake.
-// The connection keeps its handshake deadline until Serve clears it.
-func Dial(cfg EdgeConfig) (*EdgeServer, error) {
-	return dialAs(cfg, -1)
 }
 
 // dialAs performs one connection attempt. rejoinID < 0 registers fresh
@@ -152,9 +144,6 @@ func dialAs(cfg EdgeConfig, rejoinID int) (*EdgeServer, error) {
 
 // ID returns the coordinator-assigned client id.
 func (e *EdgeServer) ID() int { return e.id }
-
-// RoundsServed returns how many training requests this server has completed.
-func (e *EdgeServer) RoundsServed() int { return e.roundsServed }
 
 // Close tears down the connection.
 func (e *EdgeServer) Close() error { return e.conn.Close() }
@@ -301,7 +290,6 @@ func (e *EdgeServer) handleTrain(payload []byte) error {
 		return fmt.Errorf("round %d reply: %v: %w", req.Round, err, ErrConnLost)
 	}
 	e.cfg.Counters.AddTx(n)
-	e.roundsServed++
 	return nil
 }
 

@@ -11,8 +11,34 @@ import (
 
 	"eefei/internal/dataset"
 	"eefei/internal/fl"
+	"eefei/internal/mat"
 	"eefei/internal/ml"
 )
+
+// dial connects a fresh edge to the coordinator and performs the
+// Join/Welcome handshake. The connection keeps its handshake deadline until
+// Serve clears it.
+func dial(cfg EdgeConfig) (*EdgeServer, error) {
+	return dialAs(cfg, -1)
+}
+
+// encodeTrainReply encodes a reply into a fresh buffer.
+func encodeTrainReply(rep TrainReply) ([]byte, error) {
+	return appendTrainReply(nil, rep)
+}
+
+// decodeTrainReply decodes a reply into a fresh model.
+func decodeTrainReply(payload []byte) (TrainReply, error) {
+	var m ml.Model
+	return decodeTrainReplyInto(payload, &m)
+}
+
+// fill sets every element of m to v.
+func fill(m *mat.Dense, v float64) {
+	for i := range m.RawData() {
+		m.RawData()[i] = v
+	}
+}
 
 // --- protocol unit tests -----------------------------------------------------
 
@@ -82,7 +108,7 @@ func TestTrainRequestRoundTrip(t *testing.T) {
 		t.Errorf("header lost: %+v", back)
 	}
 	var got ml.Model
-	if err := got.UnmarshalBinary(body); err != nil {
+	if err := got.UnmarshalBinaryReuse(body); err != nil {
 		t.Fatalf("body: %v", err)
 	}
 	if got.ParamDistance(m) != 0 {
@@ -365,7 +391,7 @@ func TestRoundWithoutEnoughClients(t *testing.T) {
 
 func TestDialFailsFast(t *testing.T) {
 	shard := &dataset.Dataset{}
-	if _, err := Dial(EdgeConfig{Addr: "127.0.0.1:1", Shard: shard}); !errors.Is(err, ErrEdge) {
+	if _, err := dial(EdgeConfig{Addr: "127.0.0.1:1", Shard: shard}); !errors.Is(err, ErrEdge) {
 		t.Errorf("empty shard = %v, want ErrEdge", err)
 	}
 	cfg := dataset.QuickSyntheticConfig()
@@ -374,7 +400,7 @@ func TestDialFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if _, err := Dial(EdgeConfig{Addr: "127.0.0.1:1", Shard: d, DialTimeout: 200 * time.Millisecond}); err == nil {
+	if _, err := dial(EdgeConfig{Addr: "127.0.0.1:1", Shard: d, DialTimeout: 200 * time.Millisecond}); err == nil {
 		t.Error("dialing a dead port must fail")
 	}
 }

@@ -39,7 +39,7 @@ func FuzzDecodeTrainRequest(f *testing.F) {
 			return
 		}
 		var got ml.Model
-		if err := got.UnmarshalBinary(body); err == nil {
+		if err := got.UnmarshalBinaryReuse(body); err == nil {
 			// A successful decode must yield a usable model.
 			if got.Classes() <= 0 || got.Features() <= 0 {
 				t.Fatalf("decode accepted an unusable request model: %+v", req)

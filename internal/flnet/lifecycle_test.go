@@ -141,7 +141,7 @@ func TestJoinAfterShutdownRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if _, err := Dial(EdgeConfig{
+	if _, err := dial(EdgeConfig{
 		Addr:        coord.Addr().String(),
 		Shard:       shard,
 		DialTimeout: 2 * time.Second,

@@ -360,10 +360,6 @@ func appendTrainReply(dst []byte, rep TrainReply) ([]byte, error) {
 	}
 }
 
-func encodeTrainReply(rep TrainReply) ([]byte, error) {
-	return appendTrainReply(nil, rep)
-}
-
 // decodeTrainReplyInto decodes a reply, reusing m's parameter storage for
 // the model body when shapes match (the coordinator keeps one scratch model
 // per roster slot, making warm-round reply decoding allocation-free). On
@@ -393,11 +389,6 @@ func decodeTrainReplyInto(payload []byte, m *ml.Model) (TrainReply, error) {
 	}
 	rep.Model = m
 	return rep, nil
-}
-
-func decodeTrainReply(payload []byte) (TrainReply, error) {
-	var m ml.Model
-	return decodeTrainReplyInto(payload, &m)
 }
 
 // handshakeBody builds a handshake body: each field as a little-endian

@@ -116,7 +116,7 @@ func TestTrainRequestV2RoundTrip(t *testing.T) {
 		t.Errorf("full v2 header lost: %+v", back)
 	}
 	var got ml.Model
-	if err := got.UnmarshalBinary(body); err != nil {
+	if err := got.UnmarshalBinaryReuse(body); err != nil {
 		t.Fatalf("body: %v", err)
 	}
 	if got.ParamDistance(m) != 0 {
@@ -233,7 +233,7 @@ func TestEdgeRejectsProtocolMismatches(t *testing.T) {
 			}
 			_ = writeFrame(conn, MsgWelcome, tc.welcome)
 		}()
-		_, err = Dial(EdgeConfig{Addr: ln.Addr().String(), Shard: d, DialTimeout: 2 * time.Second})
+		_, err = dial(EdgeConfig{Addr: ln.Addr().String(), Shard: d, DialTimeout: 2 * time.Second})
 		ln.Close()
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s welcome = %v, want ErrProtocol", tc.name, err)

@@ -26,7 +26,7 @@ func TestQuantizedRequestRoundTrip(t *testing.T) {
 
 func TestQuantizedReplyShrinksWire(t *testing.T) {
 	m := ml.NewModel(10, 64, ml.Softmax)
-	m.W.Fill(0.5)
+	fill(m.W, 0.5)
 	full := TrainReply{Round: 0, Loss: 1, Samples: 10, Bits: 0, Model: m}
 	q8 := TrainReply{Round: 0, Loss: 1, Samples: 10, Bits: ml.Quant8, Model: m}
 

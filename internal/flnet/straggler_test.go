@@ -69,7 +69,7 @@ func TestStragglerToleranceDropsDeadClient(t *testing.T) {
 	deadIDCh := make(chan int, 1)
 	dialErr := make(chan error, 1)
 	go func() {
-		dying, err := Dial(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[servers-1], Seed: 99})
+		dying, err := dial(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[servers-1], Seed: 99})
 		if err != nil {
 			dialErr <- err
 			return
@@ -145,7 +145,7 @@ func TestStragglerToleranceMinRepliesEnforced(t *testing.T) {
 	dialErrs := make(chan error, 2)
 	go func() {
 		for i := 0; i < 2; i++ {
-			cl, err := Dial(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[i], Seed: uint64(i)})
+			cl, err := dial(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[i], Seed: uint64(i)})
 			if err != nil {
 				dialErrs <- err
 				return

@@ -102,7 +102,7 @@ func benchCluster(b *testing.B, shards []*dataset.Dataset, test *dataset.Dataset
 // payload the residual path shrinks.
 func BenchmarkEncodeTrainRequest(b *testing.B) {
 	m := ml.NewModel(10, 64, ml.Softmax)
-	m.W.Fill(0.25)
+	fill(m.W, 0.25)
 	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1, Model: m}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -121,9 +121,9 @@ func BenchmarkEncodeTrainRequest(b *testing.B) {
 // selected client per round, against the full-model encode above.
 func BenchmarkEncodeResidual(b *testing.B) {
 	snap := ml.NewModel(10, 64, ml.Softmax)
-	snap.W.Fill(0.25)
+	fill(snap.W, 0.25)
 	last := snap.Clone()
-	last.W.Fill(0.249) // small drift, as between consecutive rounds
+	fill(last.W, 0.249) // small drift, as between consecutive rounds
 	c := &Coordinator{cfg: CoordinatorConfig{Classes: 10, Features: 64}}
 	cl := &clientConn{lastSent: last}
 	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1, Model: snap}

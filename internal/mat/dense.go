@@ -32,17 +32,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseData wraps data (row-major, length r*c) without copying.
-func NewDenseData(r, c int, data []float64) (*Dense, error) {
-	if len(data) != r*c {
-		return nil, fmt.Errorf("wrap %dx%d with %d values: %w", r, c, len(data), ErrShape)
-	}
-	return &Dense{rows: r, cols: c, data: data}, nil
-}
-
-// Dims returns the matrix dimensions (rows, cols).
-func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -62,15 +51,6 @@ func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 // RawData returns the backing row-major storage. Mutations are visible to the
 // matrix; callers that need an independent copy should use Clone.
 func (m *Dense) RawData() []float64 { return m.data }
-
-// SetRow copies src into row i.
-func (m *Dense) SetRow(i int, src []float64) error {
-	if len(src) != m.cols {
-		return fmt.Errorf("set row of length %d into %d columns: %w", len(src), m.cols, ErrShape)
-	}
-	copy(m.Row(i), src)
-	return nil
-}
 
 // SliceRows returns a view of rows [lo, hi) sharing the receiver's storage:
 // mutations through the view are visible in the parent and vice versa. The
@@ -106,13 +86,6 @@ func (m *Dense) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
 // Scale multiplies every element by s in place.
 func (m *Dense) Scale(s float64) {
 	for i := range m.data {
@@ -129,19 +102,6 @@ func (m *Dense) AddScaled(s float64, other *Dense) error {
 		m.data[i] += s * v
 	}
 	return nil
-}
-
-// Add adds other to the receiver in place.
-func (m *Dense) Add(other *Dense) error { return m.AddScaled(1, other) }
-
-// Sub subtracts other from the receiver in place.
-func (m *Dense) Sub(other *Dense) error { return m.AddScaled(-1, other) }
-
-// Apply replaces each element x with f(x).
-func (m *Dense) Apply(f func(float64) float64) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
 }
 
 // MulVec computes dst = M·x. dst must have length Rows and x length Cols;
@@ -176,24 +136,22 @@ func (m *Dense) MulVecT(dst, x []float64) error {
 }
 
 // Mul computes dst = A·B. dst must be preallocated with shape
-// A.Rows × B.Cols and must not alias A or B. The implementation is the
-// cache-blocked kernel in gemm.go; MulWorkers is the parallel variant and
-// produces bit-identical results.
+// A.Rows × B.Cols and must not alias A or B. Every dst element accumulates
+// over k ascending (the plain i-k-j Axpy loop); the batched kernels' tests
+// use it as their reference.
 func Mul(dst, a, b *Dense) error {
-	if err := mulShapeCheck(dst, a, b); err != nil {
-		return err
-	}
-	dst.Zero()
-	gemmRange(dst, a, b, 0, a.rows)
-	return nil
-}
-
-func mulShapeCheck(dst, a, b *Dense) error {
 	if a.cols != b.rows {
 		return fmt.Errorf("mul %dx%d by %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
 	}
 	if dst.rows != a.rows || dst.cols != b.cols {
 		return fmt.Errorf("mul into %dx%d, want %dx%d: %w", dst.rows, dst.cols, a.rows, b.cols, ErrShape)
+	}
+	dst.Zero()
+	for i := 0; i < a.rows; i++ {
+		dstRow := dst.Row(i)
+		for k, av := range a.Row(i) {
+			Axpy(dstRow, av, b.Row(k))
+		}
 	}
 	return nil
 }

@@ -9,9 +9,8 @@ import (
 
 func TestNewDenseZeroed(t *testing.T) {
 	m := NewDense(3, 4)
-	r, c := m.Dims()
-	if r != 3 || c != 4 {
-		t.Fatalf("Dims() = %d,%d, want 3,4", r, c)
+	if m.Rows() != 3 || m.Cols() != 4 {
+		t.Fatalf("shape = %dx%d, want 3x4", m.Rows(), m.Cols())
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
@@ -19,19 +18,6 @@ func TestNewDenseZeroed(t *testing.T) {
 				t.Fatalf("At(%d,%d) = %v, want 0", i, j, m.At(i, j))
 			}
 		}
-	}
-}
-
-func TestNewDenseData(t *testing.T) {
-	m, err := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatalf("NewDenseData: %v", err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Errorf("At(1,0) = %v, want 3", m.At(1, 0))
-	}
-	if _, err := NewDenseData(2, 2, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("short data error = %v, want ErrShape", err)
 	}
 }
 
@@ -54,19 +40,6 @@ func TestRowAliases(t *testing.T) {
 	}
 }
 
-func TestSetRow(t *testing.T) {
-	m := NewDense(2, 3)
-	if err := m.SetRow(1, []float64{1, 2, 3}); err != nil {
-		t.Fatalf("SetRow: %v", err)
-	}
-	if m.At(1, 1) != 2 {
-		t.Errorf("At(1,1) = %v, want 2", m.At(1, 1))
-	}
-	if err := m.SetRow(0, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("SetRow short = %v, want ErrShape", err)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := NewDense(2, 2)
 	m.Set(0, 0, 1)
@@ -78,8 +51,7 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestCopyFrom(t *testing.T) {
-	src := NewDense(2, 2)
-	src.Fill(3)
+	src := denseOf(2, 2, []float64{3, 3, 3, 3})
 	dst := NewDense(2, 2)
 	if err := dst.CopyFrom(src); err != nil {
 		t.Fatalf("CopyFrom: %v", err)
@@ -94,19 +66,17 @@ func TestCopyFrom(t *testing.T) {
 }
 
 func TestScaleAddSub(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Fill(2)
-	b := NewDense(2, 2)
-	b.Fill(1)
+	a := denseOf(2, 2, []float64{2, 2, 2, 2})
+	b := denseOf(2, 2, []float64{1, 1, 1, 1})
 	a.Scale(3) // 6
-	if err := a.Add(b); err != nil {
-		t.Fatalf("Add: %v", err)
+	if err := a.AddScaled(1, b); err != nil {
+		t.Fatalf("add: %v", err)
 	}
 	if a.At(0, 0) != 7 {
 		t.Errorf("after scale+add got %v, want 7", a.At(0, 0))
 	}
-	if err := a.Sub(b); err != nil {
-		t.Fatalf("Sub: %v", err)
+	if err := a.AddScaled(-1, b); err != nil {
+		t.Fatalf("sub: %v", err)
 	}
 	if a.At(1, 1) != 6 {
 		t.Errorf("after sub got %v, want 6", a.At(1, 1))
@@ -116,20 +86,8 @@ func TestScaleAddSub(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	m := NewDense(1, 3)
-	m.SetRow(0, []float64{1, 2, 3})
-	m.Apply(func(x float64) float64 { return x * x })
-	want := []float64{1, 4, 9}
-	for j, w := range want {
-		if m.At(0, j) != w {
-			t.Errorf("At(0,%d) = %v, want %v", j, m.At(0, j), w)
-		}
-	}
-}
-
 func TestMulVec(t *testing.T) {
-	m, _ := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := denseOf(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	dst := make([]float64, 2)
 	if err := m.MulVec(dst, []float64{1, 1, 1}); err != nil {
 		t.Fatalf("MulVec: %v", err)
@@ -143,7 +101,7 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestMulVecT(t *testing.T) {
-	m, _ := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := denseOf(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	dst := make([]float64, 3)
 	if err := m.MulVecT(dst, []float64{1, 1}); err != nil {
 		t.Fatalf("MulVecT: %v", err)
@@ -157,8 +115,8 @@ func TestMulVecT(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a, _ := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b, _ := NewDenseData(3, 2, []float64{7, 8, 9, 10, 11, 12})
+	a := denseOf(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	b := denseOf(3, 2, []float64{7, 8, 9, 10, 11, 12})
 	dst := NewDense(2, 2)
 	if err := Mul(dst, a, b); err != nil {
 		t.Fatalf("Mul: %v", err)
@@ -219,7 +177,7 @@ func TestTransposeInvolution(t *testing.T) {
 }
 
 func TestFrobeniusNorm(t *testing.T) {
-	m, _ := NewDenseData(2, 2, []float64{3, 0, 0, 4})
+	m := denseOf(2, 2, []float64{3, 0, 0, 4})
 	if got := m.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("FrobeniusNorm = %v, want 5", got)
 	}
@@ -277,7 +235,7 @@ func TestMulVecConsistencyProperty(t *testing.T) {
 		if err := a.MulVec(viaVec, x); err != nil {
 			return false
 		}
-		xm, _ := NewDenseData(3, 1, Clone(x))
+		xm := denseOf(3, 1, x)
 		prod := NewDense(5, 1)
 		if err := Mul(prod, a, xm); err != nil {
 			return false
@@ -292,6 +250,15 @@ func TestMulVecConsistencyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// denseOf returns an r×c matrix holding a copy of data (row-major).
+func denseOf(r, c int, data []float64) *Dense {
+	m := NewDense(r, c)
+	if copy(m.RawData(), data) != len(data) || len(data) != r*c {
+		panic("denseOf: data length does not match shape")
+	}
+	return m
 }
 
 func randomDense(rng *RNG, r, c int) *Dense {

@@ -5,10 +5,7 @@ import (
 	"testing"
 )
 
-// naiveMul is the obviously-correct triple loop the blocked kernel is
-// checked against (values compared exactly for small sizes, where both
-// orders accumulate few enough terms that rounding differences would be a
-// logic bug, and within tolerance for larger ones).
+// naiveMul is the obviously-correct triple loop Mul is checked against.
 func naiveMul(a, b *Dense) *Dense {
 	out := NewDense(a.Rows(), b.Cols())
 	for i := 0; i < a.Rows(); i++ {
@@ -35,7 +32,7 @@ func randomSeededDense(r, c int, seed uint64) *Dense {
 func TestMulBlockedMatchesNaive(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 2}, {17, 9, 33},
-		{65, 70, 300},   // crosses both the k and j block boundaries
+		{65, 70, 300},   // larger k and n
 		{128, 200, 257}, // uneven tail in every dimension
 	}
 	for _, s := range shapes {
@@ -45,108 +42,8 @@ func TestMulBlockedMatchesNaive(t *testing.T) {
 			t.Fatalf("Mul %v: %v", s, err)
 		}
 		if want := naiveMul(a, b); !dst.Equal(want, 1e-9) {
-			t.Errorf("blocked Mul diverges from naive reference at %v", s)
+			t.Errorf("Mul diverges from naive reference at %v", s)
 		}
-	}
-}
-
-func TestMulWorkersBitIdentical(t *testing.T) {
-	a, b := randomSeededDense(130, 97, 3), randomSeededDense(97, 260, 4)
-	want := NewDense(130, 260)
-	if err := Mul(want, a, b); err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-		got := NewDense(130, 260)
-		if err := MulWorkers(got, a, b, workers); err != nil {
-			t.Fatalf("MulWorkers(%d): %v", workers, err)
-		}
-		for i, v := range got.RawData() {
-			if v != want.RawData()[i] {
-				t.Fatalf("MulWorkers(%d) not bit-identical to Mul at flat index %d", workers, i)
-			}
-		}
-	}
-}
-
-func TestMulWorkersShapeErrors(t *testing.T) {
-	if err := MulWorkers(NewDense(2, 2), NewDense(2, 3), NewDense(4, 2), 2); err == nil {
-		t.Error("inner-dimension mismatch must error")
-	}
-	if err := MulWorkers(NewDense(3, 2), NewDense(2, 3), NewDense(3, 2), 2); err == nil {
-		t.Error("dst shape mismatch must error")
-	}
-}
-
-func TestMulVecWorkersBitIdentical(t *testing.T) {
-	m := randomSeededDense(301, 129, 5)
-	x := make([]float64, 129)
-	rng := NewRNG(6)
-	for i := range x {
-		x[i] = rng.Norm()
-	}
-	want := make([]float64, 301)
-	if err := m.MulVec(want, x); err != nil {
-		t.Fatalf("MulVec: %v", err)
-	}
-	for _, workers := range []int{0, 1, 2, 5, 32} {
-		got := make([]float64, 301)
-		if err := m.MulVecWorkers(got, x, workers); err != nil {
-			t.Fatalf("MulVecWorkers(%d): %v", workers, err)
-		}
-		for i, v := range got {
-			if v != want[i] {
-				t.Fatalf("MulVecWorkers(%d) not bit-identical to MulVec at row %d", workers, i)
-			}
-		}
-	}
-	if err := m.MulVecWorkers(make([]float64, 3), x, 2); err == nil {
-		t.Error("dst length mismatch must error")
-	}
-}
-
-func BenchmarkGEMM(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		a, c := randomSeededDense(n, n, 1), randomSeededDense(n, n, 2)
-		dst := NewDense(n, n)
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				if err := MulWorkers(dst, a, c, workers); err != nil { // warmup
-					b.Fatalf("warmup MulWorkers: %v", err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := MulWorkers(dst, a, c, workers); err != nil {
-						b.Fatalf("MulWorkers: %v", err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkMatVec(b *testing.B) {
-	m := randomSeededDense(1024, 784, 1)
-	x := make([]float64, 784)
-	dst := make([]float64, 1024)
-	rng := NewRNG(2)
-	for i := range x {
-		x[i] = rng.Norm()
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			if err := m.MulVecWorkers(dst, x, workers); err != nil { // warmup
-				b.Fatalf("warmup MulVecWorkers: %v", err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.MulVecWorkers(dst, x, workers); err != nil {
-					b.Fatalf("MulVecWorkers: %v", err)
-				}
-			}
-		})
 	}
 }
 

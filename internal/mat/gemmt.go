@@ -1,6 +1,9 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Transposed-B GEMM kernels: dst = A·Bᵀ computed without materializing the
 // transpose. This is the batched-inference shape — logits for a row-block of
@@ -10,12 +13,43 @@ import "fmt"
 // flight, so four independent accumulator chains hide the floating-point add
 // latency that serializes a single dot product.
 //
-// Determinism contract (the same one Mul/MulWorkers honor): every output
-// element dst[i][j] is accumulated in exactly the order of
-// Dot(a.Row(i), b.Row(j)) — k ascending with Dot's 4-wide grouping — so the
-// blocked, the parallel, and the naive per-row formulations are bit-for-bit
-// identical. The federated engine's batched forward pass relies on this to
-// stay bit-identical to the per-sample Model.Logits reference.
+// Determinism contract: every output element dst[i][j] is accumulated in
+// exactly the order of Dot(a.Row(i), b.Row(j)) — k ascending with Dot's
+// 4-wide grouping — and each output row is owned by exactly one goroutine,
+// so the blocked, the parallel, and the naive per-row formulations are
+// bit-for-bit identical. The federated engine's batched forward pass relies
+// on this to stay bit-identical to the per-sample Model.Logits reference.
+
+// minRowsPerWorker gates goroutine spawn: below this many output rows per
+// worker the synchronization overhead outweighs the parallelism.
+const minRowsPerWorker = 8
+
+// parallelRows invokes fn over a disjoint cover of [0, rows) from workers
+// goroutines and waits for completion. workers <= 1 (or a row count too
+// small to amortize spawn cost) degrades to a single inline call.
+func parallelRows(rows, workers int, fn func(lo, hi int)) {
+	if workers > rows/minRowsPerWorker {
+		workers = rows / minRowsPerWorker
+	}
+	if workers <= 1 {
+		fn(0, rows)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (rows + workers - 1) / workers
+	for lo := 0; lo < rows; lo += chunk {
+		hi := lo + chunk
+		if hi > rows {
+			hi = rows
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+}
 
 func mulTShapeError(dst, a, b *Dense) error {
 	return fmt.Errorf("mulT %dx%d by (%dx%d)ᵀ into %dx%d: %w",

@@ -155,23 +155,3 @@ func QRLeastSquares(a *Dense, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// PolyFit fits a polynomial of the given degree to points (xs, ys) by least
-// squares and returns coefficients lowest-order first.
-func PolyFit(xs, ys []float64, degree int) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("polyfit %d xs vs %d ys: %w", len(xs), len(ys), ErrShape)
-	}
-	if degree < 0 {
-		return nil, fmt.Errorf("polyfit degree %d: %w", degree, ErrShape)
-	}
-	design := NewDense(len(xs), degree+1)
-	for i, x := range xs {
-		p := 1.0
-		for j := 0; j <= degree; j++ {
-			design.Set(i, j, p)
-			p *= x
-		}
-	}
-	return QRLeastSquares(design, ys)
-}

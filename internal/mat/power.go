@@ -6,60 +6,6 @@ import (
 	"math"
 )
 
-// ErrIterate is returned (wrapped) when an iterative routine cannot make
-// progress.
-var ErrIterate = errors.New("mat: iteration failed")
-
-// LargestEigenvalueSym estimates the largest eigenvalue of a symmetric
-// positive-semidefinite matrix by power iteration, to relative tolerance
-// tol. Used to bound the smoothness constant L of the logistic loss, whose
-// Hessian is dominated by XᵀX/(4n).
-func LargestEigenvalueSym(a *Dense, tol float64, maxIter int, seed uint64) (float64, error) {
-	n := a.Rows()
-	if a.Cols() != n {
-		return 0, fmt.Errorf("power iteration on %dx%d: %w", a.Rows(), a.Cols(), ErrShape)
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("empty matrix: %w", ErrShape)
-	}
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
-	rng := NewRNG(seed)
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.Norm()
-	}
-	if norm := Norm2(v); norm > 0 {
-		Scale(v, 1/norm)
-	} else {
-		v[0] = 1
-	}
-	next := make([]float64, n)
-	var lambda float64
-	for iter := 0; iter < maxIter; iter++ {
-		if err := a.MulVec(next, v); err != nil {
-			return 0, err
-		}
-		norm := Norm2(next)
-		if norm == 0 {
-			// v is in the null space; the matrix may be zero.
-			return 0, nil
-		}
-		newLambda := Dot(v, next) // Rayleigh quotient with normalized v
-		Scale(next, 1/norm)
-		copy(v, next)
-		if iter > 0 && math.Abs(newLambda-lambda) <= tol*math.Max(1, math.Abs(newLambda)) {
-			return newLambda, nil
-		}
-		lambda = newLambda
-	}
-	return lambda, fmt.Errorf("power iteration after %d steps: %w", maxIter, ErrNoConvergePower)
-}
-
 // ErrNoConvergePower is returned (wrapped) when power iteration exhausts
 // its budget; the best estimate is still returned.
 var ErrNoConvergePower = errors.New("mat: power iteration did not converge")

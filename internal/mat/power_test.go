@@ -6,70 +6,19 @@ import (
 	"testing"
 )
 
-func TestLargestEigenvalueSymDiagonal(t *testing.T) {
-	a, _ := NewDenseData(3, 3, []float64{
-		5, 0, 0,
-		0, 2, 0,
-		0, 0, 1,
-	})
-	lambda, err := LargestEigenvalueSym(a, 1e-10, 0, 1)
-	if err != nil {
-		t.Fatalf("LargestEigenvalueSym: %v", err)
-	}
-	if math.Abs(lambda-5) > 1e-6 {
-		t.Errorf("lambda = %v, want 5", lambda)
-	}
-}
-
-func TestLargestEigenvalueSymKnown2x2(t *testing.T) {
-	// [[2,1],[1,2]] has eigenvalues 3 and 1.
-	a, _ := NewDenseData(2, 2, []float64{2, 1, 1, 2})
-	lambda, err := LargestEigenvalueSym(a, 1e-12, 0, 2)
-	if err != nil {
-		t.Fatalf("LargestEigenvalueSym: %v", err)
-	}
-	if math.Abs(lambda-3) > 1e-8 {
-		t.Errorf("lambda = %v, want 3", lambda)
-	}
-}
-
-func TestLargestEigenvalueSymZeroMatrix(t *testing.T) {
-	lambda, err := LargestEigenvalueSym(NewDense(4, 4), 1e-9, 0, 1)
-	if err != nil {
-		t.Fatalf("zero matrix: %v", err)
-	}
-	if lambda != 0 {
-		t.Errorf("lambda = %v, want 0", lambda)
-	}
-}
-
-func TestLargestEigenvalueSymErrors(t *testing.T) {
-	if _, err := LargestEigenvalueSym(NewDense(2, 3), 1e-9, 0, 1); !errors.Is(err, ErrShape) {
-		t.Errorf("non-square = %v, want ErrShape", err)
-	}
-	if _, err := LargestEigenvalueSym(NewDense(0, 0), 1e-9, 0, 1); !errors.Is(err, ErrShape) {
-		t.Errorf("empty = %v, want ErrShape", err)
-	}
-}
-
 func TestGramLargestEigenvalueMatchesExplicit(t *testing.T) {
-	rng := NewRNG(5)
-	x := randomDense(rng, 30, 6)
-	viaGram, err := GramLargestEigenvalue(x, 1e-10, 0, 3)
+	// Row i of X holds c[i%6] in column i%6 and zeros elsewhere, so
+	// XᵀX/n = diag(5·c_j²/30): the explicit top eigenvalue is 5·6²/30 = 6.
+	c := []float64{1, 2, 3, 4, 5, 6}
+	x := NewDense(30, 6)
+	for i := 0; i < 30; i++ {
+		x.Set(i, i%6, c[i%6])
+	}
+	viaGram, err := GramLargestEigenvalue(x, 1e-12, 0, 3)
 	if err != nil {
 		t.Fatalf("GramLargestEigenvalue: %v", err)
 	}
-	// Explicit XᵀX/n.
-	gram := NewDense(6, 6)
-	if err := MulTA(gram, x, x); err != nil {
-		t.Fatalf("MulTA: %v", err)
-	}
-	gram.Scale(1.0 / 30)
-	explicit, err := LargestEigenvalueSym(gram, 1e-10, 0, 3)
-	if err != nil {
-		t.Fatalf("LargestEigenvalueSym: %v", err)
-	}
-	if math.Abs(viaGram-explicit) > 1e-6*(1+explicit) {
+	if explicit := 6.0; math.Abs(viaGram-explicit) > 1e-6*(1+explicit) {
 		t.Errorf("gram path %v vs explicit %v", viaGram, explicit)
 	}
 }

@@ -68,57 +68,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Norm1 returns the sum of absolute values of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormInf returns the maximum absolute value in x (0 for empty x).
-func NormInf(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
-// Sum returns the sum of the elements of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
-}
-
-// Variance returns the population variance of x (0 for fewer than 2 values).
-func Variance(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
 // ArgMax returns the index of the largest element of x (-1 for empty x).
 // Ties resolve to the lowest index.
 func ArgMax(x []float64) int {
@@ -139,16 +88,6 @@ func Clone(x []float64) []float64 {
 	out := make([]float64, len(x))
 	copy(out, x)
 	return out
-}
-
-// SubVec computes dst = a - b element-wise; dst may alias a or b.
-func SubVec(dst, a, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic(fmt.Sprintf("mat: subvec lens %d, %d into %d", len(a), len(b), len(dst)))
-	}
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
 }
 
 // Clamp limits v to the closed interval [lo, hi].

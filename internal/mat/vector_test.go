@@ -65,12 +65,6 @@ func TestNorms(t *testing.T) {
 	if got := Norm2(x); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm2 = %v, want 5", got)
 	}
-	if got := Norm1(x); got != 7 {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
-	if got := NormInf(x); got != 4 {
-		t.Errorf("NormInf = %v, want 4", got)
-	}
 	if got := Norm2(nil); got != 0 {
 		t.Errorf("Norm2(nil) = %v, want 0", got)
 	}
@@ -82,22 +76,6 @@ func TestNorm2Overflow(t *testing.T) {
 	want := math.Sqrt2 * 1e200
 	if got := Norm2(x); math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("Norm2 = %v, want %v", got, want)
-	}
-}
-
-func TestSumMeanVariance(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if got := Sum(x); got != 10 {
-		t.Errorf("Sum = %v, want 10", got)
-	}
-	if got := Mean(x); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := Variance(x); math.Abs(got-1.25) > 1e-12 {
-		t.Errorf("Variance = %v, want 1.25", got)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate Mean/Variance must be 0")
 	}
 }
 
@@ -122,14 +100,8 @@ func TestArgMax(t *testing.T) {
 	}
 }
 
-func TestSubVecAndClone(t *testing.T) {
+func TestCloneVec(t *testing.T) {
 	a := []float64{5, 7}
-	b := []float64{2, 3}
-	dst := make([]float64, 2)
-	SubVec(dst, a, b)
-	if dst[0] != 3 || dst[1] != 4 {
-		t.Errorf("SubVec = %v, want [3 4]", dst)
-	}
 	c := Clone(a)
 	c[0] = 99
 	if a[0] != 5 {

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -9,27 +10,85 @@ import (
 // The zero-copy codec paths (AppendBinary / UnmarshalBinaryReuse /
 // AppendQuantized / DequantizeInto) exist so the wire protocol can encode
 // into pooled frame buffers and decode into long-lived scratch models. They
-// must stay byte-identical to the allocating paths and allocation-free once
-// the scratch has warmed up.
+// must keep their byte layouts and stay allocation-free once the scratch has
+// warmed up.
 
-func TestAppendBinaryMatchesMarshal(t *testing.T) {
-	m := randomModel(3, 7, 13)
-	want, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
+// TestAppendBinaryGoldenBytes pins the model wire layout byte for byte:
+// magic "EFM\x01", then activation, classes and features as little-endian
+// uint32, then W row-major, then B, each as little-endian IEEE-754 float64.
+func TestAppendBinaryGoldenBytes(t *testing.T) {
+	m := NewModel(2, 3, Sigmoid)
+	copy(m.W.RawData(), []float64{1, 2, -1, 0.5, 0, 1.5})
+	copy(m.B, []float64{0.25, -2})
+	want := []byte{
+		'E', 'F', 'M', 1,
+		2, 0, 0, 0, // activation = Sigmoid
+		2, 0, 0, 0, // classes
+		3, 0, 0, 0, // features
+		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // W[0][0] = 1
+		0, 0, 0, 0, 0, 0, 0x00, 0x40, // W[0][1] = 2
+		0, 0, 0, 0, 0, 0, 0xf0, 0xbf, // W[0][2] = -1
+		0, 0, 0, 0, 0, 0, 0xe0, 0x3f, // W[1][0] = 0.5
+		0, 0, 0, 0, 0, 0, 0x00, 0x00, // W[1][1] = 0
+		0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // W[1][2] = 1.5
+		0, 0, 0, 0, 0, 0, 0xd0, 0x3f, // B[0] = 0.25
+		0, 0, 0, 0, 0, 0, 0x00, 0xc0, // B[1] = -2
 	}
 	got := m.AppendBinary(nil)
 	if !bytes.Equal(got, want) {
-		t.Fatal("AppendBinary diverges from MarshalBinary")
+		t.Fatalf("AppendBinary layout changed:\n got % x\nwant % x", got, want)
 	}
 	if len(got) != m.EncodedSize() {
 		t.Errorf("EncodedSize = %d, encoded %d bytes", m.EncodedSize(), len(got))
+	}
+	var back Model
+	if err := back.UnmarshalBinaryReuse(want); err != nil {
+		t.Fatalf("decode golden: %v", err)
+	}
+	if back.Act != Sigmoid || back.Classes() != 2 || back.Features() != 3 || back.ParamDistance(m) != 0 {
+		t.Fatal("golden bytes decode to a different model")
 	}
 	// Appending after a prefix must leave the prefix alone.
 	pre := []byte{9, 9, 9}
 	full := m.AppendBinary(pre)
 	if !bytes.Equal(full[:3], pre[:3]) || !bytes.Equal(full[3:], want) {
 		t.Fatal("AppendBinary clobbered the destination prefix")
+	}
+}
+
+// TestDecodersRejectUnknownActivation: both model decoders accept only the
+// heads the forward and loss paths implement.
+func TestDecodersRejectUnknownActivation(t *testing.T) {
+	m := randomModel(1, 3, 4)
+	plain := m.AppendBinary(nil)
+	quant, err := QuantizeModel(m, Quant8)
+	if err != nil {
+		t.Fatalf("QuantizeModel: %v", err)
+	}
+	decoders := []struct {
+		name    string
+		payload []byte
+		decode  func(*Model, []byte) error
+	}{
+		{"plain", plain, (*Model).UnmarshalBinaryReuse},
+		{"quant8", quant, (*Model).DequantizeInto},
+	}
+	for _, dec := range decoders {
+		for _, act := range []uint32{0, uint32(Softmax), uint32(Sigmoid), 3, 0xffffffff} {
+			data := bytes.Clone(dec.payload)
+			binary.LittleEndian.PutUint32(data[4:8], act)
+			var back Model
+			err := dec.decode(&back, data)
+			valid := act == uint32(Softmax) || act == uint32(Sigmoid)
+			switch {
+			case valid && err != nil:
+				t.Errorf("%s act=%d: %v", dec.name, act, err)
+			case valid && back.Act != Activation(act):
+				t.Errorf("%s act=%d decoded as %v", dec.name, act, back.Act)
+			case !valid && err == nil:
+				t.Errorf("%s act=%#x decoded with a nil error", dec.name, act)
+			}
+		}
 	}
 }
 

@@ -137,7 +137,7 @@ func TestSGDResetReproducesFreshOptimizer(t *testing.T) {
 			t.Fatalf("epoch %d: reset optimizer loss %v != fresh %v", i, got[i], want[i])
 		}
 	}
-	if reused.LearningRate() == sgdCfg.LearningRate {
+	if reused.lr == sgdCfg.LearningRate {
 		t.Error("decay should have moved the learning rate during training")
 	}
 }

@@ -200,42 +200,6 @@ func TestPredictBatchBitIdenticalToPerSamplePredict(t *testing.T) {
 	}
 }
 
-func TestLogitsBatchBitIdenticalToLogits(t *testing.T) {
-	m, d := forwardFixture(t, 300, Softmax)
-	dst := mat.NewDense(d.Len(), m.Classes())
-	if err := m.LogitsBatch(dst, d.X); err != nil {
-		t.Fatalf("LogitsBatch: %v", err)
-	}
-	row := make([]float64, m.Classes())
-	for i := 0; i < d.Len(); i++ {
-		if err := m.Logits(row, d.X.Row(i)); err != nil {
-			t.Fatalf("Logits(%d): %v", i, err)
-		}
-		for c := range row {
-			if math.Float64bits(dst.At(i, c)) != math.Float64bits(row[c]) {
-				t.Fatalf("row %d class %d: batch logit %v differs bitwise from Logits %v",
-					i, c, dst.At(i, c), row[c])
-			}
-		}
-	}
-}
-
-func TestLogitsBatchShapeErrors(t *testing.T) {
-	m := NewModel(3, 4, Softmax)
-	x := mat.NewDense(5, 4)
-	for _, dst := range []*mat.Dense{
-		mat.NewDense(5, 2), // wrong classes
-		mat.NewDense(4, 3), // wrong rows
-	} {
-		if err := m.LogitsBatch(dst, x); !errors.Is(err, ErrModelShape) {
-			t.Errorf("LogitsBatch bad dst = %v, want ErrModelShape", err)
-		}
-	}
-	if err := m.LogitsBatch(mat.NewDense(5, 3), mat.NewDense(5, 7)); !errors.Is(err, ErrModelShape) {
-		t.Error("LogitsBatch feature mismatch must return ErrModelShape")
-	}
-}
-
 func TestGradientBitIdenticalToPerSampleReference(t *testing.T) {
 	for _, act := range []Activation{Softmax, Sigmoid} {
 		for _, samples := range forwardShapes {

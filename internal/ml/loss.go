@@ -170,17 +170,3 @@ func Accuracy(m *Model, d *dataset.Dataset) (float64, error) {
 	}
 	return float64(correct) / float64(len(preds)), nil
 }
-
-// ConfusionMatrix returns the classes×classes count matrix with true labels
-// on rows and predictions on columns.
-func ConfusionMatrix(m *Model, d *dataset.Dataset) (*mat.Dense, error) {
-	preds, err := m.PredictBatch(d)
-	if err != nil {
-		return nil, err
-	}
-	cm := mat.NewDense(d.Classes, d.Classes)
-	for i, p := range preds {
-		cm.Set(d.Labels[i], p, cm.At(d.Labels[i], p)+1)
-	}
-	return cm, nil
-}

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
@@ -41,6 +40,10 @@ func (a Activation) String() string {
 		return fmt.Sprintf("Activation(%d)", int(a))
 	}
 }
+
+// valid reports whether a is one of the heads the forward and loss paths
+// implement; they treat any other value as softmax, so decoders reject it.
+func (a Activation) valid() bool { return a == Softmax || a == Sigmoid }
 
 // ErrModelShape is returned (wrapped) when model and data dimensions clash.
 var ErrModelShape = errors.New("ml: model/data dimension mismatch")
@@ -173,23 +176,6 @@ func (m *Model) Predict(x []float64) (int, error) {
 	return mat.ArgMax(scores), nil
 }
 
-// LogitsBatch computes logits for every row of x into dst (x.Rows×classes):
-// dst = x·Wᵀ + 1·bᵀ via the blocked transposed GEMM. Each dst row is
-// bit-identical to Logits on the corresponding sample. dst must not alias x.
-func (m *Model) LogitsBatch(dst, x *mat.Dense) error {
-	if x.Cols() != m.Features() || dst.Rows() != x.Rows() || dst.Cols() != m.Classes() {
-		return fmt.Errorf("batch logits %dx%d of %dx%d data with %dx%d model: %w",
-			dst.Rows(), dst.Cols(), x.Rows(), x.Cols(), m.Classes(), m.Features(), ErrModelShape)
-	}
-	if err := mat.MulT(dst, x, m.W); err != nil {
-		return fmt.Errorf("batch logits: %w", err)
-	}
-	for i := 0; i < dst.Rows(); i++ {
-		mat.Axpy(dst.Row(i), 1, m.B)
-	}
-	return nil
-}
-
 // PredictBatch classifies every row of d and returns the predicted labels,
 // scoring evalChunk-row blocks through the batched forward pass.
 func (m *Model) PredictBatch(d *dataset.Dataset) ([]int, error) {
@@ -239,68 +225,6 @@ func sigmoid(z float64) float64 {
 // changes.
 var modelMagic = [4]byte{'E', 'F', 'M', 1}
 
-// WriteTo serializes the model in a deterministic little-endian binary
-// layout: magic, activation, classes, features, W row-major, B.
-func (m *Model) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(modelMagic); err != nil {
-		return n, fmt.Errorf("write magic: %w", err)
-	}
-	header := []uint32{uint32(m.Act), uint32(m.Classes()), uint32(m.Features())}
-	if err := write(header); err != nil {
-		return n, fmt.Errorf("write header: %w", err)
-	}
-	if err := write(m.W.RawData()); err != nil {
-		return n, fmt.Errorf("write weights: %w", err)
-	}
-	if err := write(m.B); err != nil {
-		return n, fmt.Errorf("write biases: %w", err)
-	}
-	return n, nil
-}
-
-// ReadModel deserializes a model written by WriteTo.
-func ReadModel(r io.Reader) (*Model, error) {
-	var magic [4]byte
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("read magic: %w", err)
-	}
-	if magic != modelMagic {
-		return nil, fmt.Errorf("ml: bad model magic %x", magic)
-	}
-	var header [3]uint32
-	if err := binary.Read(r, binary.LittleEndian, &header); err != nil {
-		return nil, fmt.Errorf("read header: %w", err)
-	}
-	act, classes, features := Activation(header[0]), int(header[1]), int(header[2])
-	const maxParams = 1 << 26 // 512 MiB of float64: cap against corrupt headers
-	// Bound each dimension before multiplying so the product cannot overflow.
-	if classes <= 0 || features <= 0 || classes > maxParams || features > maxParams ||
-		classes*features > maxParams {
-		return nil, fmt.Errorf("ml: implausible model shape %dx%d", classes, features)
-	}
-	m := NewModel(classes, features, act)
-	if err := binary.Read(r, binary.LittleEndian, m.W.RawData()); err != nil {
-		return nil, fmt.Errorf("read weights: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, m.B); err != nil {
-		return nil, fmt.Errorf("read biases: %w", err)
-	}
-	return m, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	return m.AppendBinary(make([]byte, 0, m.EncodedSize())), nil
-}
-
 // EncodedSize returns the exact byte length of the model's binary
 // serialization: magic + header + parameters.
 func (m *Model) EncodedSize() int {
@@ -308,9 +232,10 @@ func (m *Model) EncodedSize() int {
 }
 
 // AppendBinary appends the model's serialization to dst and returns the
-// extended slice, byte-identical to MarshalBinary/WriteTo. It is the
-// zero-copy encode path: the network layer appends directly into a pooled
-// frame buffer instead of marshalling into an intermediate slice.
+// extended slice. The layout is deterministic little-endian: magic, then
+// activation, classes and features as uint32, then W row-major, then B as
+// IEEE-754 float64. It is the zero-copy encode path: the network layer
+// appends directly into a pooled frame buffer.
 func (m *Model) AppendBinary(dst []byte) []byte {
 	dst = slices.Grow(dst, m.EncodedSize())
 	dst = append(dst, modelMagic[:]...)
@@ -334,11 +259,12 @@ func appendFloat64s(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// UnmarshalBinaryReuse decodes data into m like UnmarshalBinary, but reuses
-// m's existing parameter storage when the encoded shape matches — the decode
+// UnmarshalBinaryReuse decodes an AppendBinary payload into m, reusing m's
+// existing parameter storage when the encoded shape matches — the decode
 // path engines call round after round with a long-lived scratch model, so
 // steady-state decoding allocates nothing. On a shape change it falls back
-// to a fresh allocation.
+// to a fresh allocation. An activation other than Softmax or Sigmoid is an
+// error.
 func (m *Model) UnmarshalBinaryReuse(data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("ml: model payload of %d bytes", len(data))
@@ -349,9 +275,13 @@ func (m *Model) UnmarshalBinaryReuse(data []byte) error {
 		return fmt.Errorf("ml: bad model magic %x", magic)
 	}
 	act := Activation(binary.LittleEndian.Uint32(data[4:8]))
+	if !act.valid() {
+		return fmt.Errorf("ml: unknown activation %d", uint32(act))
+	}
 	classes := int(binary.LittleEndian.Uint32(data[8:12]))
 	features := int(binary.LittleEndian.Uint32(data[12:16]))
-	const maxParams = 1 << 26
+	const maxParams = 1 << 26 // 512 MiB of float64: cap against corrupt headers
+	// Bound each dimension before multiplying so the product cannot overflow.
 	if classes <= 0 || features <= 0 || classes > maxParams || features > maxParams ||
 		classes*features > maxParams {
 		return fmt.Errorf("ml: implausible model shape %dx%d", classes, features)
@@ -375,28 +305,4 @@ func readFloat64s(dst []float64, data []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 	}
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Model) UnmarshalBinary(data []byte) error {
-	got, err := ReadModel(byteSliceReader{data: data, pos: new(int)})
-	if err != nil {
-		return err
-	}
-	*m = *got
-	return nil
-}
-
-type byteSliceReader struct {
-	data []byte
-	pos  *int
-}
-
-func (r byteSliceReader) Read(p []byte) (int, error) {
-	if *r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[*r.pos:])
-	*r.pos += n
-	return n, nil
 }

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -46,7 +45,7 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestCopyFromAndScale(t *testing.T) {
 	src := NewModel(2, 3, Sigmoid)
-	src.W.Fill(2)
+	fill(src.W, 2)
 	src.B[1] = 4
 	dst := NewModel(2, 3, Softmax)
 	if err := dst.CopyFrom(src); err != nil {
@@ -68,7 +67,7 @@ func TestCopyFromAndScale(t *testing.T) {
 func TestAddScaled(t *testing.T) {
 	a := NewModel(2, 2, Softmax)
 	b := NewModel(2, 2, Softmax)
-	b.W.Fill(1)
+	fill(b.W, 1)
 	b.B[0] = 2
 	if err := a.AddScaled(3, b); err != nil {
 		t.Fatalf("AddScaled: %v", err)
@@ -96,9 +95,9 @@ func TestParamDistance(t *testing.T) {
 
 func TestLogitsAndPredict(t *testing.T) {
 	m := NewModel(3, 2, Softmax)
-	m.W.SetRow(0, []float64{1, 0})
-	m.W.SetRow(1, []float64{0, 1})
-	m.W.SetRow(2, []float64{-1, -1})
+	copy(m.W.Row(0), []float64{1, 0})
+	copy(m.W.Row(1), []float64{0, 1})
+	copy(m.W.Row(2), []float64{-1, -1})
 	m.B[1] = 0.5
 
 	logits := make([]float64, 3)
@@ -122,15 +121,15 @@ func TestLogitsAndPredict(t *testing.T) {
 
 func TestSoftmaxProbabilities(t *testing.T) {
 	m := NewModel(3, 1, Softmax)
-	m.W.SetRow(0, []float64{1})
-	m.W.SetRow(1, []float64{2})
-	m.W.SetRow(2, []float64{3})
+	copy(m.W.Row(0), []float64{1})
+	copy(m.W.Row(1), []float64{2})
+	copy(m.W.Row(2), []float64{3})
 	p := make([]float64, 3)
 	if err := m.Probabilities(p, []float64{1}); err != nil {
 		t.Fatalf("Probabilities: %v", err)
 	}
-	if math.Abs(mat.Sum(p)-1) > 1e-12 {
-		t.Errorf("softmax sums to %v, want 1", mat.Sum(p))
+	if math.Abs(sum(p)-1) > 1e-12 {
+		t.Errorf("softmax sums to %v, want 1", sum(p))
 	}
 	if !(p[2] > p[1] && p[1] > p[0]) {
 		t.Errorf("softmax ordering wrong: %v", p)
@@ -139,8 +138,8 @@ func TestSoftmaxProbabilities(t *testing.T) {
 
 func TestSoftmaxNumericalStability(t *testing.T) {
 	m := NewModel(2, 1, Softmax)
-	m.W.SetRow(0, []float64{1000})
-	m.W.SetRow(1, []float64{-1000})
+	copy(m.W.Row(0), []float64{1000})
+	copy(m.W.Row(1), []float64{-1000})
 	p := make([]float64, 2)
 	if err := m.Probabilities(p, []float64{1}); err != nil {
 		t.Fatalf("Probabilities: %v", err)
@@ -155,8 +154,8 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 
 func TestSigmoidProbabilities(t *testing.T) {
 	m := NewModel(2, 1, Sigmoid)
-	m.W.SetRow(0, []float64{0})
-	m.W.SetRow(1, []float64{800})
+	copy(m.W.Row(0), []float64{0})
+	copy(m.W.Row(1), []float64{800})
 	p := make([]float64, 2)
 	if err := m.Probabilities(p, []float64{1}); err != nil {
 		t.Fatalf("Probabilities: %v", err)
@@ -168,7 +167,7 @@ func TestSigmoidProbabilities(t *testing.T) {
 		t.Errorf("sigmoid(800) = %v, want ≈1 without NaN", p[1])
 	}
 	// Negative extreme.
-	m.W.SetRow(1, []float64{-800})
+	copy(m.W.Row(1), []float64{-800})
 	if err := m.Probabilities(p, []float64{1}); err != nil {
 		t.Fatalf("Probabilities: %v", err)
 	}
@@ -194,52 +193,15 @@ func TestModelSerializationRoundTrip(t *testing.T) {
 	for i := range m.B {
 		m.B[i] = rng.Norm()
 	}
-	var buf bytes.Buffer
-	n, err := m.WriteTo(&buf)
-	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	back, err := ReadModel(&buf)
-	if err != nil {
-		t.Fatalf("ReadModel: %v", err)
+	var back Model
+	if err := back.UnmarshalBinaryReuse(m.AppendBinary(nil)); err != nil {
+		t.Fatalf("UnmarshalBinaryReuse: %v", err)
 	}
 	if back.Act != Sigmoid || back.Classes() != 4 || back.Features() != 7 {
 		t.Fatalf("shape/activation lost: %v %dx%d", back.Act, back.Classes(), back.Features())
 	}
-	if m.ParamDistance(back) != 0 {
+	if m.ParamDistance(&back) != 0 {
 		t.Error("round-trip must be exact")
-	}
-}
-
-func TestModelBinaryMarshaler(t *testing.T) {
-	m := NewModel(2, 2, Softmax)
-	m.W.Set(0, 1, 3.25)
-	data, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	var back Model
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
-	}
-	if back.W.At(0, 1) != 3.25 {
-		t.Error("binary round-trip lost data")
-	}
-}
-
-func TestReadModelRejectsGarbage(t *testing.T) {
-	if _, err := ReadModel(bytes.NewReader([]byte("nonsense data here"))); err == nil {
-		t.Error("garbage must be rejected")
-	}
-	// Correct magic but absurd shape.
-	var buf bytes.Buffer
-	buf.Write(modelMagic[:])
-	buf.Write([]byte{1, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 255, 0, 0, 0, 0})
-	if _, err := ReadModel(&buf); err == nil {
-		t.Error("absurd shape must be rejected")
 	}
 }
 
@@ -253,12 +215,8 @@ func TestSerializationRoundTripProperty(t *testing.T) {
 		for i := range m.W.RawData() {
 			m.W.RawData()[i] = rng.Norm()
 		}
-		data, err := m.MarshalBinary()
-		if err != nil {
-			return false
-		}
 		var back Model
-		if err := back.UnmarshalBinary(data); err != nil {
+		if err := back.UnmarshalBinaryReuse(m.AppendBinary(nil)); err != nil {
 			return false
 		}
 		return m.ParamDistance(&back) == 0
@@ -266,4 +224,19 @@ func TestSerializationRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// fill sets every element of m to v.
+func fill(m *mat.Dense, v float64) {
+	for i := range m.RawData() {
+		m.RawData()[i] = v
+	}
+}
+
+func sum(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v
+	}
+	return s
 }

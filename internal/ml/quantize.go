@@ -126,6 +126,9 @@ func (m *Model) DequantizeInto(data []byte) error {
 		return fmt.Errorf("bad magic: %w", ErrQuantize)
 	}
 	act := Activation(binary.LittleEndian.Uint32(data[4:8]))
+	if !act.valid() {
+		return fmt.Errorf("unknown activation %d: %w", uint32(act), ErrQuantize)
+	}
 	classes := int(binary.LittleEndian.Uint32(data[8:12]))
 	features := int(binary.LittleEndian.Uint32(data[12:16]))
 	bits := QuantBits(binary.LittleEndian.Uint32(data[16:20]))
@@ -142,9 +145,7 @@ func (m *Model) DequantizeInto(data []byte) error {
 		m.W, m.B = fresh.W, fresh.B
 	}
 	m.Act = act
-	rest := data[20:]
-	var err error
-	rest, err = readQuantTensor(rest, m.W.RawData(), bits)
+	rest, err := readQuantTensor(data[20:], m.W.RawData(), bits)
 	if err != nil {
 		return fmt.Errorf("weights: %w", err)
 	}
@@ -206,11 +207,4 @@ func MaxQuantError(m *Model, bits QuantBits) float64 {
 func QuantizedSize(classes, features int, bits QuantBits) int {
 	params := classes*features + classes
 	return 4 + 16 + 8 + 8 + params*int(bits)/8
-}
-
-// CompressionRatio returns the size of the float64 serialization divided by
-// the quantized size.
-func CompressionRatio(m *Model, bits QuantBits) float64 {
-	full := 4 + 12 + m.ParamCount()*8
-	return float64(full) / float64(QuantizedSize(m.Classes(), m.Features(), bits))
 }

@@ -131,8 +131,8 @@ func TestDequantizeRejectsGarbage(t *testing.T) {
 
 func TestCompressionRatio(t *testing.T) {
 	m := NewModel(10, 784, Softmax)
-	r8 := CompressionRatio(m, Quant8)
-	r16 := CompressionRatio(m, Quant16)
+	r8 := float64(m.EncodedSize()) / float64(QuantizedSize(10, 784, Quant8))
+	r16 := float64(m.EncodedSize()) / float64(QuantizedSize(10, 784, Quant16))
 	if r8 < 7.5 || r8 > 8.5 {
 		t.Errorf("8-bit ratio = %v, want ≈8", r8)
 	}

@@ -32,11 +32,6 @@ type SGDConfig struct {
 	Seed uint64
 }
 
-// DefaultSGDConfig mirrors Table II.
-func DefaultSGDConfig() SGDConfig {
-	return SGDConfig{LearningRate: 0.01, Decay: 0.99, DecayEvery: 1}
-}
-
 // SGD performs gradient-descent epochs over a dataset, tracking the decayed
 // learning rate across calls so that a federated client can run E epochs per
 // round and keep decaying round over round.
@@ -111,12 +106,6 @@ func (s *SGD) Reset(cfg SGDConfig) error {
 	}
 	return nil
 }
-
-// LearningRate returns the current (decayed) step size.
-func (s *SGD) LearningRate() float64 { return s.lr }
-
-// EpochsRun returns how many epochs this optimizer has performed.
-func (s *SGD) EpochsRun() int { return s.step }
 
 // Epoch performs one pass over d, updating m in place, and returns the mean
 // loss measured at the start of the pass.

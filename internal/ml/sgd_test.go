@@ -14,7 +14,7 @@ func TestNewSGDValidation(t *testing.T) {
 		cfg     SGDConfig
 		wantErr bool
 	}{
-		{"default ok", DefaultSGDConfig(), false},
+		{"default ok", SGDConfig{LearningRate: 0.01, Decay: 0.99, DecayEvery: 1}, false},
 		{"zero lr", SGDConfig{LearningRate: 0}, true},
 		{"negative lr", SGDConfig{LearningRate: -1}, true},
 		{"decay above 1", SGDConfig{LearningRate: 0.1, Decay: 1.5}, true},
@@ -84,11 +84,11 @@ func TestSGDDecaySchedule(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	want := 0.01 * math.Pow(0.99, 10)
-	if math.Abs(sgd.LearningRate()-want) > 1e-15 {
-		t.Errorf("lr after 10 epochs = %v, want %v", sgd.LearningRate(), want)
+	if math.Abs(sgd.lr-want) > 1e-15 {
+		t.Errorf("lr after 10 epochs = %v, want %v", sgd.lr, want)
 	}
-	if sgd.EpochsRun() != 10 {
-		t.Errorf("EpochsRun = %d, want 10", sgd.EpochsRun())
+	if sgd.step != 10 {
+		t.Errorf("epochs run = %d, want 10", sgd.step)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestSGDDecayEveryE(t *testing.T) {
 	if _, err := sgd.Train(m, d, 9); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if math.Abs(sgd.LearningRate()-0.009) > 1e-15 {
-		t.Errorf("lr after 9 epochs with DecayEvery=5 = %v, want 0.009", sgd.LearningRate())
+	if math.Abs(sgd.lr-0.009) > 1e-15 {
+		t.Errorf("lr after 9 epochs with DecayEvery=5 = %v, want 0.009", sgd.lr)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestSGDDeterministicAcrossRuns(t *testing.T) {
 
 func TestSGDEmptyDataset(t *testing.T) {
 	m := NewModel(2, 2, Softmax)
-	sgd, err := NewSGD(DefaultSGDConfig())
+	sgd, err := NewSGD(SGDConfig{LearningRate: 0.01, Decay: 0.99, DecayEvery: 1})
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestSGDEmptyDataset(t *testing.T) {
 }
 
 func TestSGDTrainBadEpochs(t *testing.T) {
-	sgd, err := NewSGD(DefaultSGDConfig())
+	sgd, err := NewSGD(SGDConfig{LearningRate: 0.01, Decay: 0.99, DecayEvery: 1})
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}

@@ -165,34 +165,3 @@ func GridSearch2D(f func(x, y int) float64, valid func(x, y int) bool,
 	}
 	return best, nil
 }
-
-// Bisect finds a root of a monotone function g on [lo, hi] (g(lo) and g(hi)
-// must have opposite signs) to within tol.
-func Bisect(g func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if hi <= lo || tol <= 0 {
-		return 0, fmt.Errorf("bisect on [%v,%v] tol %v: %w", lo, hi, tol, ErrDomain)
-	}
-	fLo, fHi := g(lo), g(hi)
-	if fLo == 0 {
-		return lo, nil
-	}
-	if fHi == 0 {
-		return hi, nil
-	}
-	if (fLo > 0) == (fHi > 0) {
-		return 0, fmt.Errorf("no sign change on [%v,%v]: %w", lo, hi, ErrDomain)
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		fMid := g(mid)
-		if fMid == 0 {
-			return mid, nil
-		}
-		if (fMid > 0) == (fHi > 0) {
-			hi, fHi = mid, fMid
-		} else {
-			lo, fLo = mid, fMid
-		}
-	}
-	return (lo + hi) / 2, nil
-}

@@ -181,39 +181,6 @@ func TestGridSearch2DErrors(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	g := func(x float64) float64 { return x*x - 2 }
-	root, err := Bisect(g, 0, 2, 1e-10)
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-8 {
-		t.Errorf("root = %v, want √2", root)
-	}
-}
-
-func TestBisectErrors(t *testing.T) {
-	g := func(x float64) float64 { return 1.0 }
-	if _, err := Bisect(g, 0, 1, 1e-8); !errors.Is(err, ErrDomain) {
-		t.Errorf("no sign change = %v, want ErrDomain", err)
-	}
-	if _, err := Bisect(g, 1, 0, 1e-8); !errors.Is(err, ErrDomain) {
-		t.Errorf("inverted = %v, want ErrDomain", err)
-	}
-}
-
-func TestBisectEndpointRoots(t *testing.T) {
-	g := func(x float64) float64 { return x }
-	root, err := Bisect(g, 0, 1, 1e-8)
-	if err != nil || root != 0 {
-		t.Errorf("root at lo: %v %v", root, err)
-	}
-	root, err = Bisect(g, -1, 0, 1e-8)
-	if err != nil || root != 0 {
-		t.Errorf("root at hi: %v %v", root, err)
-	}
-}
-
 // Property: golden-section on random convex parabolas recovers the vertex.
 func TestGoldenSectionParabolaProperty(t *testing.T) {
 	f := func(vertexRaw int16, scaleRaw uint8) bool {

@@ -257,19 +257,3 @@ func containsInt(xs []int, v int) bool {
 	}
 	return false
 }
-
-// AnalyticRoundJoules returns the deterministic per-round energy of one
-// selected server under this config — the quantity Eq. (12)'s B0·E + B1
-// approximates (plus the waiting/download overheads the paper folds into
-// its baseline).
-func (s *System) AnalyticRoundJoules() float64 {
-	n := 0
-	if len(s.samples) > 0 {
-		n = s.samples[0]
-	}
-	j := s.cfg.Device.RoundEnergy(s.cfg.FL.LocalEpochs, n)
-	if !s.cfg.Preloaded {
-		j += s.cfg.Uplink.CollectionEnergy(n)
-	}
-	return j
-}

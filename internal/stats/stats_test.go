@@ -83,33 +83,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestConfidenceInterval95(t *testing.T) {
-	// Constant sample: degenerate CI collapses to the mean.
-	lo, hi, err := ConfidenceInterval95([]float64{5, 5, 5, 5})
-	if err != nil {
-		t.Fatalf("CI: %v", err)
-	}
-	if lo != 5 || hi != 5 {
-		t.Errorf("CI = [%v, %v], want [5,5]", lo, hi)
-	}
-	// Gaussian sample: the CI should contain the true mean.
-	rng := mat.NewRNG(1)
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = rng.NormScaled(10, 2)
-	}
-	lo, hi, err = ConfidenceInterval95(xs)
-	if err != nil {
-		t.Fatalf("CI: %v", err)
-	}
-	if lo > 10 || hi < 10 {
-		t.Errorf("CI [%v, %v] misses the true mean 10", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Errorf("CI width %v too wide for n=400, σ=2", hi-lo)
-	}
-}
-
 func TestRepeat(t *testing.T) {
 	calls := 0
 	s, err := Repeat(Seeds(1, 5), func(seed uint64) (float64, error) {
@@ -141,38 +114,6 @@ func TestSeedsDistinct(t *testing.T) {
 			t.Fatal("duplicate seed")
 		}
 		seen[s] = true
-	}
-}
-
-func TestWelchT(t *testing.T) {
-	a := []float64{10, 11, 9, 10, 10.5}
-	b := []float64{5, 5.5, 4.5, 5, 5.2}
-	tStat, err := WelchT(a, b)
-	if err != nil {
-		t.Fatalf("WelchT: %v", err)
-	}
-	if tStat < 5 {
-		t.Errorf("clearly separated samples: t = %v, want large positive", tStat)
-	}
-	back, err := WelchT(b, a)
-	if err != nil {
-		t.Fatalf("WelchT: %v", err)
-	}
-	if math.Abs(tStat+back) > 1e-9 {
-		t.Error("WelchT must be antisymmetric")
-	}
-	// Identical constant samples → t = 0.
-	z, err := WelchT([]float64{1, 1}, []float64{1, 1})
-	if err != nil || z != 0 {
-		t.Errorf("constant equal samples: t = %v (%v), want 0", z, err)
-	}
-	// Distinct constants → ±Inf.
-	inf, err := WelchT([]float64{2, 2}, []float64{1, 1})
-	if err != nil || !math.IsInf(inf, 1) {
-		t.Errorf("constant distinct samples: t = %v (%v), want +Inf", inf, err)
-	}
-	if _, err := WelchT(nil, a); err == nil {
-		t.Error("empty sample must error")
 	}
 }
 

@@ -4,12 +4,13 @@
 #
 # Packages covered: the root package (paper figure/table pins, including the
 # flnet fault-injection round), internal/fl (FedAvg round, async step, global
-# loss), internal/ml (evaluator + SGD epochs), internal/mat (GEMM, matvec,
-# RNG), internal/energy (calibrator observe), internal/flnet (the pooled
-# networked round over loopback TCP plus the downlink encode paths — the
-# allocs/op and B/op pins behind the zero-copy wire protocol — and the
-# datagram round BenchmarkDgramRoundWire at loss 0 and 10%), and
-# internal/fldgram (packet codec + ARQ frame path of the lossy transport).
+# loss), internal/ml (evaluator + SGD epochs), internal/mat (batched MulT /
+# AddMulTA kernels, RNG), internal/energy (calibrator observe),
+# internal/flnet (the pooled networked round over loopback TCP plus the
+# downlink encode paths — the allocs/op and B/op pins behind the zero-copy
+# wire protocol — and the datagram round BenchmarkDgramRoundWire at loss 0
+# and 10%), and internal/fldgram (packet codec + ARQ frame path of the
+# lossy transport).
 #
 # The suite runs in two passes with different iteration counts:
 #
@@ -45,7 +46,7 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 HARNESS='^Benchmark(Figure|Ablation|Table)'
-GATED='^Benchmark(Mat|SGD|Model|Trace|Golden|FedAvg|Quantize|Straggler|Sensitivity|Pareto|RoundWithFaults)'
+GATED='^Benchmark(Mat|SGD|Model|Trace|Golden|FedAvg|Quantize|Sensitivity|Pareto|RoundWithFaults)'
 
 if [ -n "${BENCH_FILTER:-}" ]; then
     echo "bench: single pass, -bench='${BENCH_FILTER}' -benchtime=${TIME} ..." >&2
